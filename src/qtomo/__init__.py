@@ -7,7 +7,6 @@ estimate onto physical states. See the command line (``qtomo --help``) for
 the experiment front end.
 """
 
-from ._kernels import backend
 from .calibration import (
     PenaltyChoice,
     nu_bootstrap,
@@ -73,7 +72,6 @@ __all__ = [
     "PenaltyChoice",
     "RankPenalizedFit",
     "SpectralDecomposition",
-    "backend",
     "diag_state",
     "empirical_frequencies",
     "exact_frequencies",

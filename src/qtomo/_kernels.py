@@ -1,223 +1,50 @@
-"""Hot numeric loops shared by the forward model and the inversion.
+"""The two 6^n-cell maps of the measurement design, as per-qubit transforms.
 
-Both directions of the measurement map touch all 6^n (setting, outcome)
-cells, factored per setting through a +-1 sign transform over outcome bits:
+The design factors over qubits: the entry linking setting a, outcome r and
+basis label b is a product of single-qubit entries ``E[(a_j, r_j), b_j]``.
+``E`` below is that 6 x 4 matrix, rows (axis, sign) in the order x-, x+, y-,
+y+, z-, z+ and columns i, x, y, z: 1 in column i, the sign in the measured
+axis's column, 0 elsewhere. Both maps therefore apply one small matrix along
+each qubit axis of a tensor (``_per_qubit``) plus one axis reorder:
 
 * ``table_from_coeffs``   Pauli coefficients -> probability table (3^n, 2^n)
 * ``design_adjoint_sums`` probability table  -> per-label design sums (4^n,)
 
-Each has a numba @njit kernel and a vectorized pure-numpy fallback. numba is
-used when importable unless the environment variable ``QTOMO_PURE_NUMPY`` is
-set to 1/true/yes. ``benchmarks/bench_kernels.py`` compares the two paths.
+``states.pauli_expand`` / ``pauli_assemble`` use the same helper with their
+single-qubit change of basis.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via env flag instead
-    njit = None
-    _HAVE_NUMBA = False
-
-_FORCE_NUMPY = os.environ.get("QTOMO_PURE_NUMPY", "").strip().lower() in {
-    "1",
-    "true",
-    "yes",
-}
-USE_NUMBA = _HAVE_NUMBA and not _FORCE_NUMPY
-
-# chunk budget (elements) for the numpy fallback's scatter/gather buffers
-_CHUNK_ELEMENTS = 1 << 18
+E = np.array(
+    [
+        [1, -1, 0, 0],  # x-
+        [1, 1, 0, 0],  # x+
+        [1, 0, -1, 0],  # y-
+        [1, 0, 1, 0],  # y+
+        [1, 0, 0, -1],  # z-
+        [1, 0, 0, 1],  # z+
+    ],
+    dtype=np.float64,
+)
 
 
-def backend() -> str:
-    """Name of the active kernel path, "numba" or "numpy"."""
-    return "numba" if USE_NUMBA else "numpy"
+def _per_qubit(matrix: np.ndarray, tensor: np.ndarray, n: int) -> np.ndarray:
+    """Apply ``matrix`` along each of the n axes of a (k,)*n tensor.
+
+    Each step contracts the leading axis and appends the new one last, so
+    after n steps the axes are back in order; no step copies its input.
+    """
+    for _ in range(n):
+        tensor = np.tensordot(tensor, matrix, axes=(0, 1))
+    return tensor
 
 
-# ---------------------------------------------------------------------------
-# index plumbing
-#
-# Bit/digit layout: position j (leftmost character of the string forms) is
-# the most significant digit. Outcome bit 1 means sign +1. A mask selects the
-# non-identity positions of a label; for a given setting the label is the
-# setting's axes on the mask and identity elsewhere.
-# ---------------------------------------------------------------------------
-
-
-def _setting_digits(n: int) -> np.ndarray:
-    """(3^n, n) base-3 digits of every setting index, most significant first."""
-    idx = np.arange(3**n, dtype=np.int64)
-    out = np.empty((3**n, n), dtype=np.int64)
-    for j in range(n - 1, -1, -1):
-        out[:, j] = idx % 3
-        idx //= 3
-    return out
-
-
-def _mask_bits(n: int) -> np.ndarray:
-    """(2^n, n) bits of every mask index, most significant first."""
-    idx = np.arange(2**n, dtype=np.int64)
-    out = np.empty((2**n, n), dtype=np.int64)
-    for j in range(n):
-        out[:, j] = (idx >> (n - 1 - j)) & 1
-    return out
-
-
-# ---------------------------------------------------------------------------
-# numba kernels
-# ---------------------------------------------------------------------------
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _table_kernel(coeffs, n, out):  # pragma: no cover - compiled
-        n_set, n_out = out.shape
-        axes = np.empty(n, np.int64)
-        buf = np.empty(n_out, np.float64)
-        for s in range(n_set):
-            t = s
-            for j in range(n - 1, -1, -1):
-                axes[j] = t % 3
-                t //= 3
-            # gather the coefficients compatible with this setting
-            for mask in range(n_out):
-                idx = 0
-                for j in range(n):
-                    idx *= 4
-                    if (mask >> (n - 1 - j)) & 1:
-                        idx += axes[j] + 1
-                buf[mask] = coeffs[idx]
-            # sign transform: mask coefficients -> outcome probabilities
-            h = 1
-            while h < n_out:
-                for start in range(0, n_out, 2 * h):
-                    for i in range(start, start + h):
-                        lo = buf[i]
-                        hi = buf[i + h]
-                        buf[i] = lo - hi
-                        buf[i + h] = lo + hi
-                h *= 2
-            for mask in range(n_out):
-                out[s, mask] = buf[mask]
-
-    @njit(cache=True)
-    def _sums_kernel(table, n, sums):  # pragma: no cover - compiled
-        n_set, n_out = table.shape
-        axes = np.empty(n, np.int64)
-        buf = np.empty(n_out, np.float64)
-        for s in range(n_set):
-            t = s
-            for j in range(n - 1, -1, -1):
-                axes[j] = t % 3
-                t //= 3
-            for o in range(n_out):
-                buf[o] = table[s, o]
-            # adjoint sign transform: outcome values -> per-mask sums
-            h = 1
-            while h < n_out:
-                for start in range(0, n_out, 2 * h):
-                    for i in range(start, start + h):
-                        lo = buf[i]
-                        hi = buf[i + h]
-                        buf[i] = lo + hi
-                        buf[i + h] = hi - lo
-                h *= 2
-            for mask in range(n_out):
-                idx = 0
-                for j in range(n):
-                    idx *= 4
-                    if (mask >> (n - 1 - j)) & 1:
-                        idx += axes[j] + 1
-                sums[idx] += buf[mask]
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy fallbacks
-# ---------------------------------------------------------------------------
-
-
-def _forward_transform(block: np.ndarray, n: int) -> np.ndarray:
-    """Per-setting sign transform, vectorized over the leading axis."""
-    v = block.reshape((block.shape[0],) + (2,) * n)
-    for ax in range(1, n + 1):
-        a = np.take(v, 0, axis=ax)
-        b = np.take(v, 1, axis=ax)
-        v = np.stack((a - b, a + b), axis=ax)
-    return v.reshape(block.shape)
-
-
-def _adjoint_transform(block: np.ndarray, n: int) -> np.ndarray:
-    v = block.reshape((block.shape[0],) + (2,) * n)
-    for ax in range(1, n + 1):
-        a = np.take(v, 0, axis=ax)
-        b = np.take(v, 1, axis=ax)
-        v = np.stack((a + b, b - a), axis=ax)
-    return v.reshape(block.shape)
-
-
-def _label_indices(digits_chunk: np.ndarray, bits: np.ndarray, n: int) -> np.ndarray:
-    """Label index for every (setting, mask) pair of a settings chunk."""
-    pow4 = 4 ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    return ((digits_chunk + 1) * pow4) @ bits.T
-
-
-def table_from_coeffs_numpy(coeffs: np.ndarray, n: int) -> np.ndarray:
-    n_set, n_out = 3**n, 2**n
-    coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
-    digits = _setting_digits(n)
-    bits = _mask_bits(n)
-    out = np.empty((n_set, n_out), dtype=np.float64)
-    chunk = max(1, _CHUNK_ELEMENTS // n_out)
-    for lo in range(0, n_set, chunk):
-        hi = min(lo + chunk, n_set)
-        idx = _label_indices(digits[lo:hi], bits, n)
-        out[lo:hi] = _forward_transform(coeffs[idx], n)
-    return out
-
-
-def design_adjoint_sums_numpy(table: np.ndarray, n: int) -> np.ndarray:
-    n_set, n_out = 3**n, 2**n
-    table = np.ascontiguousarray(table, dtype=np.float64)
-    digits = _setting_digits(n)
-    bits = _mask_bits(n)
-    sums = np.zeros(4**n, dtype=np.float64)
-    chunk = max(1, _CHUNK_ELEMENTS // n_out)
-    for lo in range(0, n_set, chunk):
-        hi = min(lo + chunk, n_set)
-        t = _adjoint_transform(table[lo:hi], n)
-        idx = _label_indices(digits[lo:hi], bits, n)
-        sums += np.bincount(idx.ravel(), weights=t.ravel(), minlength=4**n)
-    return sums
-
-
-def table_from_coeffs_numba(coeffs: np.ndarray, n: int) -> np.ndarray:
-    if not _HAVE_NUMBA:
-        raise RuntimeError("numba is not installed")
-    coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
-    out = np.empty((3**n, 2**n), dtype=np.float64)
-    _table_kernel(coeffs, n, out)
-    return out
-
-
-def design_adjoint_sums_numba(table: np.ndarray, n: int) -> np.ndarray:
-    if not _HAVE_NUMBA:
-        raise RuntimeError("numba is not installed")
-    table = np.ascontiguousarray(table, dtype=np.float64)
-    sums = np.zeros(4**n, dtype=np.float64)
-    _sums_kernel(table, n, sums)
-    return sums
-
-
-# ---------------------------------------------------------------------------
-# dispatchers
-# ---------------------------------------------------------------------------
+def _interleave_perm(n: int) -> list[int]:
+    """Axis order taking (u1..un, v1..vn) to (u1, v1, ..., un, vn)."""
+    return [ax for j in range(n) for ax in (j, n + j)]
 
 
 def table_from_coeffs(coeffs: np.ndarray, n: int) -> np.ndarray:
@@ -226,9 +53,9 @@ def table_from_coeffs(coeffs: np.ndarray, n: int) -> np.ndarray:
     Returns shape (3^n, 2^n); row = setting index, column = outcome index.
     Row-major flattening gives the canonical 6^n vector.
     """
-    if USE_NUMBA:
-        return table_from_coeffs_numba(coeffs, n)
-    return table_from_coeffs_numpy(coeffs, n)
+    t = _per_qubit(E, np.asarray(coeffs, dtype=np.float64).reshape((4,) * n), n)
+    t = np.transpose(t.reshape((3, 2) * n), np.argsort(_interleave_perm(n)))
+    return t.reshape(3**n, 2**n)
 
 
 def design_adjoint_sums(table: np.ndarray, n: int) -> np.ndarray:
@@ -238,6 +65,6 @@ def design_adjoint_sums(table: np.ndarray, n: int) -> np.ndarray:
     ``table[a, r] * design_entry(r, a, b)``; dividing by 3^degree(b) * 2^n
     turns these into inverted Pauli coefficients.
     """
-    if USE_NUMBA:
-        return design_adjoint_sums_numba(table, n)
-    return design_adjoint_sums_numpy(table, n)
+    t = np.asarray(table, dtype=np.float64).reshape((3,) * n + (2,) * n)
+    t = np.transpose(t, _interleave_perm(n)).reshape((6,) * n)
+    return _per_qubit(E.T, t, n).reshape(4**n)

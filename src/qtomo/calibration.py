@@ -123,7 +123,11 @@ def nu_bootstrap(
     Default aggregation squares the mean norm; ``mean_of_squares=True``
     averages the squared norms instead.
     """
-    norms = bootstrap_norms(est, m, reps, seed)
+    return _aggregate_norms(bootstrap_norms(est, m, reps, seed), mean_of_squares)
+
+
+def _aggregate_norms(norms: np.ndarray, mean_of_squares: bool) -> float:
+    """Squared mean norm, or the mean squared norm with ``mean_of_squares``."""
     if mean_of_squares:
         return float(np.mean(norms**2))
     return float(np.mean(norms) ** 2)
@@ -150,11 +154,10 @@ def resolve_penalty(
     # bootstrap
     seed = 0 if choice.seed is None else choice.seed
     norms = bootstrap_norms(est, m, choice.reps, seed)
-    if choice.mean_of_squares:
-        value = float(np.mean(norms**2))
-    else:
-        value = float(np.mean(norms) ** 2)
-    return value, {"norms": [float(x) for x in norms], "reps": choice.reps}
+    return _aggregate_norms(norms, choice.mean_of_squares), {
+        "norms": [float(x) for x in norms],
+        "reps": choice.reps,
+    }
 
 
 def calibration_report_dict(mode: str, value: float, details: dict) -> dict:

@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from . import calibration, inversion, measurement, rankpen, states, studies
-from ._kernels import backend
 from .errors import ConfigError, FormatError
 
 STATE_NAMES = ("diag", "ghz", "w", "mixture")
@@ -36,6 +35,15 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
         raise ConfigError(f"{flag}: expected comma-separated integers, got {text!r}") from exc
 
 
+def _load_true_state(path) -> np.ndarray:
+    """A state JSON file that must hold a density matrix (exit 4 otherwise)."""
+    matrix = states.load_state(path)
+    try:
+        return states.require_density(matrix)
+    except ValueError as exc:
+        raise FormatError("", f"state file {path!r}: {exc}") from exc
+
+
 def _build_state(args) -> np.ndarray:
     """State matrix from --state/--d/--p, or from a state JSON file."""
     name = args.state
@@ -52,7 +60,7 @@ def _build_state(args) -> np.ndarray:
             raise ConfigError("--state mixture needs --d and --p")
         return states.mixture(args.n, args.d, args.p)
     # anything else is a path to a state JSON file
-    matrix = states.load_state(name)
+    matrix = _load_true_state(name)
     if states.qubit_count(matrix) != args.n:
         raise ConfigError(
             f"state file {name!r} has n={states.qubit_count(matrix)}, expected --n {args.n}"
@@ -94,7 +102,7 @@ def _resolve_penalty(args, est, m) -> tuple[float, dict, str]:
     if choice.mode == "oracle":
         if args.state is None:
             raise ConfigError("--penalty oracle needs --state <state JSON file>")
-        rho_true = states.load_state(args.state)
+        rho_true = _load_true_state(args.state)
     nu, details = calibration.resolve_penalty(choice, est, m, rho_true)
     return nu, details, choice.mode
 
@@ -245,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
             "Reconstruct an n-qubit state from repeated Pauli measurements and "
             "estimate its rank by penalized spectral thresholding."
         ),
-        epilog=f"active kernel backend: {backend()}",
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 

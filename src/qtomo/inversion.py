@@ -42,7 +42,7 @@ def invert_coefficients(freqs: EmpiricalFrequencies) -> np.ndarray:
 
     ``coeffs[b] = sum over (setting, outcome) of freq * design_entry,
     divided by 3^degree(b) * 2^n``. Only the 3^degree(b) settings matching
-    b outside its identity positions contribute; the kernel exploits that.
+    b outside its identity positions contribute (zero design entries).
     """
     sums = _kernels.design_adjoint_sums(freqs.values, freqs.n)
     scale = 3.0 ** pauli.label_degrees(freqs.n) * float(2**freqs.n)

@@ -12,9 +12,10 @@ the leftmost character. Enumeration order is fixed lexicographic
 runs and platforms.
 
 The full design matrix relating Pauli coefficients to outcome probabilities
-is only materialized for n <= 2 (test oracle); every production code path
-evaluates entries on the fly. All functions are pure and operate on immutable
-values, so the module is safe for concurrent use.
+is only materialized for n <= 2 (test oracle); production code applies its
+single-qubit factors one qubit at a time (``_kernels``). All functions are
+pure and operate on immutable values, so the module is safe for concurrent
+use.
 """
 
 from __future__ import annotations

@@ -21,6 +21,7 @@ import json
 import numpy as np
 
 from . import pauli
+from ._kernels import _interleave_perm, _per_qubit
 from .errors import FormatError
 
 HERMITIAN_ATOL = 1e-12
@@ -110,10 +111,6 @@ def trace_norm(matrix: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _interleave_perm(n: int) -> list[int]:
-    return [ax for j in range(n) for ax in (j, n + j)]
-
-
 def pauli_expand(matrix: np.ndarray) -> np.ndarray:
     """Real Pauli coefficients of a Hermitian matrix, in label order.
 
@@ -124,9 +121,7 @@ def pauli_expand(matrix: np.ndarray) -> np.ndarray:
     n = qubit_count(matrix)
     t = matrix.reshape((2,) * (2 * n))
     t = np.transpose(t, _interleave_perm(n)).reshape((4,) * n)
-    for ax in range(n):
-        t = np.moveaxis(np.tensordot(_EXPAND_1Q, t, axes=(1, ax)), 0, ax)
-    coeffs = t.reshape(-1)
+    coeffs = _per_qubit(_EXPAND_1Q, t, n).reshape(-1)
     resid = np.abs(coeffs.imag).max() if coeffs.size else 0.0
     if resid > 1e-10:
         raise ValueError(f"imaginary residue {resid:.3e} in Pauli coefficients")
@@ -146,9 +141,7 @@ def pauli_assemble(coeffs: np.ndarray) -> np.ndarray:
     if size != 4**n or n < 1:
         raise ValueError(f"coefficient length {size} is not a power of 4 >= 4")
     pauli.check_qubits(n)
-    t = coeffs.astype(complex).reshape((4,) * n)
-    for ax in range(n):
-        t = np.moveaxis(np.tensordot(_ASSEMBLE_1Q, t, axes=(1, ax)), 0, ax)
+    t = _per_qubit(_ASSEMBLE_1Q, coeffs.astype(complex).reshape((4,) * n), n)
     t = t.reshape((2, 2) * n)
     t = np.transpose(t, np.argsort(_interleave_perm(n)))
     return np.ascontiguousarray(t.reshape(2**n, 2**n))

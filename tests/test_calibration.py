@@ -143,6 +143,13 @@ def test_resolve_penalty_modes():
     assert len(details["norms"]) == 6
     assert abs(nu - float(np.mean(details["norms"])) ** 2) < 1e-12
 
+    nu, _ = calibration.resolve_penalty(
+        calibration.PenaltyChoice(mode="bootstrap", reps=6, seed=31, mean_of_squares=True),
+        est,
+        50,
+    )
+    assert nu == calibration.nu_bootstrap(est, 50, 6, 31, mean_of_squares=True)
+
 
 def test_calibration_report_dict():
     report = calibration.calibration_report_dict("theory", 0.5, {"theta": 0.0})

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from qtomo import measurement, states
 from qtomo.cli import main
@@ -111,6 +112,32 @@ def test_estimate_oracle_with_state_file(tmp_path):
     assert code == 0
     report = json.loads((tmp_path / "o" / "fit.json").read_text())
     assert report["k_hat"] == 2
+
+
+BAD_STATES = {
+    # trace 1, eigenvalues 2 and -1
+    "smallest eigenvalue": np.diag([2.0, -1.0]).astype(complex),
+    "not Hermitian": np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex),
+}
+
+
+@pytest.mark.parametrize("reason", sorted(BAD_STATES))
+def test_non_density_state_file_exit_4(tmp_path, capsys, reason):
+    truth = tmp_path / "truth.json"
+    states.save_state(truth, BAD_STATES[reason])
+    data = tmp_path / "data.json"
+    code = run("simulate", "--n", 1, "--m", 20, "--state", truth, "--out", data)
+    assert code == 4
+    assert reason in capsys.readouterr().err
+    assert not data.exists()
+
+    run("simulate", "--n", 1, "--m", 20, "--d", 1, "--out", data)
+    capsys.readouterr()
+    code = run("estimate", data, "--penalty", "oracle", "--state", truth,
+               "--out", tmp_path / "o")
+    assert code == 4
+    assert reason in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_rank_study_csv(tmp_path):
