@@ -96,16 +96,18 @@ def bootstrap_norms(
     """Operator norms of synthetic estimation errors, one per repetition.
 
     Projects the estimate to a physical state, re-simulates ``reps``
-    datasets of the same size from it, inverts each, and records the
-    operator norm of (synthetic estimate - physical state).
+    datasets of the same size from its probability table (computed once),
+    inverts each, and records the operator norm of (synthetic estimate -
+    physical state).
     """
     if reps < 2:
         raise ValueError(f"bootstrap needs reps >= 2, got {reps}")
     sigma = states.nearest_density(est.matrix)
+    table = measurement.probability_table(sigma)
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     norms = np.empty(reps)
     for j, child in enumerate(root.spawn(reps)):
-        ds = measurement.simulate_dataset(sigma, m, child)
+        ds = measurement._sample_dataset(table, m, child)
         synth = inversion.linear_estimator(measurement.empirical_frequencies(ds))
         norms[j] = states.operator_norm(synth.matrix - sigma)
     return norms

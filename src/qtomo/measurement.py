@@ -26,6 +26,7 @@ from .errors import FormatError
 
 FREQ_ATOL = 1e-12
 _PROB_CLIP = 1e-12
+_COUNT_MAX = np.iinfo(np.int64).max
 
 
 @dataclass
@@ -136,16 +137,24 @@ def simulate_dataset(rho: np.ndarray, m: int, seed) -> Dataset:
     [0, 1] are clipped; larger violations indicate a non-physical input and
     raise.
     """
+    return _sample_dataset(probability_table(rho), m, seed)
+
+
+def _sample_dataset(table: np.ndarray, m: int, seed) -> Dataset:
+    """``simulate_dataset`` from a precomputed ``probability_table``.
+
+    Lets callers that sample one state many times (the bootstrap) compute
+    the table once; the draws are those of ``simulate_dataset``.
+    """
     if m < 1:
         raise ValueError(f"repetition count m={m} must be >= 1")
-    n = states.qubit_count(rho)
-    table = probability_table(rho)
     if table.min() < -_PROB_CLIP or table.max() > 1.0 + _PROB_CLIP:
         raise ValueError(
             f"outcome probabilities outside [0, 1] (min {table.min():.3e}, "
             f"max {table.max():.3e}); input is not a density matrix"
         )
     table = np.clip(table, 0.0, 1.0)
+    n = table.shape[1].bit_length() - 1
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     children = root.spawn(3**n)
     counts = np.empty((3**n, 2**n), dtype=np.int64)
@@ -168,7 +177,9 @@ def empirical_frequencies(dataset: Dataset) -> EmpiricalFrequencies:
 # {"n": int, "m": int,
 #  "counts": [{"setting": "xzyx", "outcome": "+--+", "count": int}, ...]}
 # Omitted (setting, outcome) pairs are zero; duplicates are an error; each
-# setting's counts must sum to m.
+# setting's counts must sum to m. save_dataset writes the bytes of
+# json.dump(dataset_to_dict(ds), fh, indent=2, sort_keys=True) plus a newline;
+# load_dataset accepts any JSON layout and entry order.
 # ---------------------------------------------------------------------------
 
 
@@ -203,54 +214,109 @@ def dataset_from_dict(obj) -> Dataset:
     entries = obj["counts"]
     if not isinstance(entries, list):
         raise FormatError("counts", "expected a list")
-    counts = np.zeros((3**n, 2**n), dtype=np.int64)
-    seen = set()
+    setting_of = {a: s for s, a in enumerate(pauli.all_settings(n))}
+    outcome_of = {r: o for o, r in enumerate(pauli.all_outcomes(n))}
+    width = 2**n
+    cells, values = [], []
     for i, entry in enumerate(entries):
-        where = f"counts[{i}]"
-        if not isinstance(entry, dict):
-            raise FormatError(where, "expected an object")
-        for key in ("setting", "outcome", "count"):
-            if key not in entry:
-                raise FormatError(f"{where}.{key}", "missing key")
-        a = entry["setting"]
-        if not isinstance(a, str):
-            raise FormatError(f"{where}.setting", "expected a string")
+        # A miss in either map covers a non-string, a bad character and a
+        # wrong length; _entry_cell then finds the precise error.
         try:
-            s = pauli.setting_index(a)
-        except ValueError as exc:
-            raise FormatError(f"{where}.setting", str(exc)) from exc
-        if len(a) != n:
-            raise FormatError(f"{where}.setting", f"length {len(a)} != n={n}")
-        r = entry["outcome"]
-        if not isinstance(r, str):
-            raise FormatError(f"{where}.outcome", "expected a string")
-        try:
-            o = pauli.outcome_index(r)
-        except ValueError as exc:
-            raise FormatError(f"{where}.outcome", str(exc)) from exc
-        if len(r) != n:
-            raise FormatError(f"{where}.outcome", f"length {len(r)} != n={n}")
-        c = entry["count"]
-        if not isinstance(c, int) or isinstance(c, bool) or c < 0:
-            raise FormatError(f"{where}.count", f"expected a non-negative integer, got {c!r}")
-        if (s, o) in seen:
-            raise FormatError(where, f"duplicate (setting, outcome) pair ({a!r}, {r!r})")
-        seen.add((s, o))
-        counts[s, o] = c
-    sums = counts.sum(axis=1)
+            cell = setting_of[entry["setting"]] * width + outcome_of[entry["outcome"]]
+            c = entry["count"]
+            valid = type(entry) is dict and type(c) is int and 0 <= c <= _COUNT_MAX
+        except (KeyError, TypeError):
+            valid = False
+        if not valid:
+            try:
+                s, o, c = _entry_cell(i, entry, n)
+            except FormatError:
+                _check_duplicates(entries, cells)  # an earlier duplicate comes first
+                raise
+            cell = s * width + o
+        cells.append(cell)
+        values.append(c)
+    cells = np.array(cells, dtype=np.int64)
+    values = np.array(values, dtype=np.int64)
+    _check_duplicates(entries, cells)
+    # Row sums come from the entries, so a dataset that misses a setting
+    # fails before the (3^n, 2^n) table is allocated.
+    sums = np.zeros(3**n, dtype=np.int64)
+    np.add.at(sums, cells // width, values)
     if (sums != m).any():
         bad = int(np.nonzero(sums != m)[0][0])
         raise FormatError(
             "counts",
             f"setting {pauli.setting_at(n, bad)!r} sums to {int(sums[bad])}, expected m={m}",
         )
-    return Dataset(n=n, m=m, counts=counts)
+    counts = np.zeros(3**n * width, dtype=np.int64)
+    counts[cells] = values
+    return Dataset(n=n, m=m, counts=counts.reshape(3**n, width))
+
+
+def _entry_cell(i: int, entry, n: int) -> tuple[int, int, int]:
+    """(setting index, outcome index, count) of entry i, or its FormatError."""
+    where = f"counts[{i}]"
+    if not isinstance(entry, dict):
+        raise FormatError(where, "expected an object")
+    for key in ("setting", "outcome", "count"):
+        if key not in entry:
+            raise FormatError(f"{where}.{key}", "missing key")
+    a = entry["setting"]
+    if not isinstance(a, str):
+        raise FormatError(f"{where}.setting", "expected a string")
+    try:
+        s = pauli.setting_index(a)
+    except ValueError as exc:
+        raise FormatError(f"{where}.setting", str(exc)) from exc
+    if len(a) != n:
+        raise FormatError(f"{where}.setting", f"length {len(a)} != n={n}")
+    r = entry["outcome"]
+    if not isinstance(r, str):
+        raise FormatError(f"{where}.outcome", "expected a string")
+    try:
+        o = pauli.outcome_index(r)
+    except ValueError as exc:
+        raise FormatError(f"{where}.outcome", str(exc)) from exc
+    if len(r) != n:
+        raise FormatError(f"{where}.outcome", f"length {len(r)} != n={n}")
+    c = entry["count"]
+    if not isinstance(c, int) or isinstance(c, bool) or c < 0:
+        raise FormatError(f"{where}.count", f"expected a non-negative integer, got {c!r}")
+    if c > _COUNT_MAX:
+        raise FormatError(f"{where}.count", f"{c} does not fit in a 64-bit count")
+    return s, o, c
+
+
+def _check_duplicates(entries: list, cells) -> None:
+    """Raise for the first entry whose cell an earlier entry already names."""
+    cells = np.asarray(cells, dtype=np.int64)
+    order = np.argsort(cells, kind="stable")
+    later = order[1:][cells[order[1:]] == cells[order[:-1]]]
+    if later.size:
+        j = int(later.min())
+        a, r = entries[j]["setting"], entries[j]["outcome"]
+        raise FormatError(
+            f"counts[{j}]", f"duplicate (setting, outcome) pair ({a!r}, {r!r})"
+        ) from None
 
 
 def save_dataset(path, dataset: Dataset) -> None:
+    cells = np.nonzero(dataset.counts)
+    settings = list(pauli.all_settings(dataset.n))
+    outcomes = list(pauli.all_outcomes(dataset.n))
+    entries = zip(
+        dataset.counts[cells].tolist(),
+        map(outcomes.__getitem__, cells[1].tolist()),
+        map(settings.__getitem__, cells[0].tolist()),
+    )
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(dataset_to_dict(dataset), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write('{\n  "counts": [\n')
+        fh.write(",\n".join([
+            f'    {{\n      "count": {c},\n      "outcome": "{r}",\n      "setting": "{a}"\n    }}'
+            for c, r, a in entries
+        ]))
+        fh.write(f'\n  ],\n  "m": {dataset.m},\n  "n": {dataset.n}\n}}\n')
 
 
 def load_dataset(path) -> Dataset:

@@ -154,3 +154,25 @@ def test_resolve_penalty_modes():
 def test_calibration_report_dict():
     report = calibration.calibration_report_dict("theory", 0.5, {"theta": 0.0})
     assert report == {"mode": "theory", "value": 0.5, "details": {"theta": 0.0}}
+
+
+def test_bootstrap_norms_match_per_repetition_simulation(monkeypatch):
+    ds = measurement.simulate_dataset(states.mixture(3, 2, 0.3), 50, 17)
+    est = inversion.linear_estimator(measurement.empirical_frequencies(ds))
+    calls = []
+    table = measurement.probability_table
+    monkeypatch.setattr(
+        measurement, "probability_table", lambda rho: calls.append(1) or table(rho)
+    )
+    norms = calibration.bootstrap_norms(est, 50, 4, 99)
+    monkeypatch.undo()
+    assert len(calls) == 1
+
+    sigma = states.nearest_density(est.matrix)
+    expected = []
+    for child in np.random.SeedSequence(99).spawn(4):
+        synth = inversion.linear_estimator(
+            measurement.empirical_frequencies(measurement.simulate_dataset(sigma, 50, child))
+        )
+        expected.append(states.operator_norm(synth.matrix - sigma))
+    assert norms.tolist() == expected

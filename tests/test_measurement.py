@@ -1,3 +1,7 @@
+import json
+import random
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -208,3 +212,125 @@ def test_dataset_file_round_trip(tmp_path):
     bad.write_text('{"n": 1, "m": 3')
     with pytest.raises(FormatError):
         measurement.load_dataset(bad)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_saved_bytes_match_indented_json_dump(tmp_path, n):
+    rng = np.random.default_rng(59 + n)
+    cases = [
+        (states.diag_state(n, 1), 40),
+        (random_density(2**n, rng), 40),
+        (random_density(2**n, rng), 1),
+    ]
+    path = tmp_path / "data.json"
+    for seed, (rho, m) in enumerate(cases):
+        ds = measurement.simulate_dataset(rho, m, seed)
+        measurement.save_dataset(path, ds)
+        expected = json.dumps(measurement.dataset_to_dict(ds), indent=2, sort_keys=True) + "\n"
+        assert path.read_bytes() == expected.encode("utf-8")
+
+
+def test_load_accepts_any_layout_and_entry_order(tmp_path):
+    rng = np.random.default_rng(61)
+    ds = measurement.simulate_dataset(random_density(8, rng), 20, 4)
+    obj = measurement.dataset_to_dict(ds)
+    random.Random(61).shuffle(obj["counts"])
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(obj, separators=(",", ":")))
+    assert np.array_equal(measurement.load_dataset(path).counts, ds.counts)
+
+
+def _two_qubit_doc(*entries):
+    return {"n": 2, "m": 1, "counts": [{"setting": "xx", "outcome": "++", "count": 1}, *entries]}
+
+
+def _entry(setting="xy", outcome="+-", count=1):
+    return {"setting": setting, "outcome": outcome, "count": count}
+
+
+# (malformed entry at index 1, error path, error message), as the reference
+# per-entry validation reports them.
+MALFORMED_ENTRIES = [
+    (["xy", "+-", 1], "counts[1]", "expected an object"),
+    ("xy", "counts[1]", "expected an object"),
+    ({"outcome": "+-", "count": 1}, "counts[1].setting", "missing key"),
+    ({"setting": "xy", "count": 1}, "counts[1].outcome", "missing key"),
+    ({"setting": "xy", "outcome": "+-"}, "counts[1].count", "missing key"),
+    (_entry(setting=7), "counts[1].setting", "expected a string"),
+    (_entry(setting=["x", "y"]), "counts[1].setting", "expected a string"),
+    (_entry(setting="xq"), "counts[1].setting", "invalid setting 'xq': characters must be in 'xyz'"),
+    (_entry(setting="XY"), "counts[1].setting", "invalid setting 'XY': characters must be in 'xyz'"),
+    (_entry(setting="x"), "counts[1].setting", "length 1 != n=2"),
+    (_entry(setting="xyz"), "counts[1].setting", "length 3 != n=2"),
+    (_entry(setting=""), "counts[1].setting", "qubit count must be >= 1, got 0"),
+    (_entry(outcome=None), "counts[1].outcome", "expected a string"),
+    (_entry(outcome="+0"), "counts[1].outcome", "invalid outcome '+0': characters must be in '-+'"),
+    (_entry(outcome="+"), "counts[1].outcome", "length 1 != n=2"),
+    (_entry(outcome="+-+"), "counts[1].outcome", "length 3 != n=2"),
+    (_entry(count=True), "counts[1].count", "expected a non-negative integer, got True"),
+    (_entry(count=-1), "counts[1].count", "expected a non-negative integer, got -1"),
+    (_entry(count=1.0), "counts[1].count", "expected a non-negative integer, got 1.0"),
+    (_entry(count="1"), "counts[1].count", "expected a non-negative integer, got '1'"),
+    (_entry(setting="xx", outcome="++", count=0), "counts[1]",
+     "duplicate (setting, outcome) pair ('xx', '++')"),
+]
+
+
+@pytest.mark.parametrize("entry,path,message", MALFORMED_ENTRIES)
+def test_malformed_entry_path_and_message(entry, path, message):
+    with pytest.raises(FormatError) as err:
+        measurement.dataset_from_dict(_two_qubit_doc(entry, _entry(setting="yy")))
+    assert err.value.path == path
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_duplicate_reported_before_later_bad_count():
+    obj = _two_qubit_doc(_entry(), _entry(setting="xx", outcome="++"), _entry(count=-1))
+    with pytest.raises(FormatError) as err:
+        measurement.dataset_from_dict(obj)
+    assert str(err.value) == "counts[2]: duplicate (setting, outcome) pair ('xx', '++')"
+
+
+def test_bad_count_reported_before_later_duplicate():
+    obj = _two_qubit_doc(_entry(count=-1), _entry(), _entry(setting="xx", outcome="++"))
+    with pytest.raises(FormatError) as err:
+        measurement.dataset_from_dict(obj)
+    assert str(err.value) == "counts[1].count: expected a non-negative integer, got -1"
+
+
+def test_count_beyond_int64_is_a_format_error():
+    big = 2**63
+    obj = {"n": 1, "m": 1, "counts": [_entry("x", "+", big), _entry("x", "-", -1)]}
+    with pytest.raises(FormatError) as err:
+        measurement.dataset_from_dict(obj)
+    assert str(err.value) == f"counts[0].count: {big} does not fit in a 64-bit count"
+
+
+@pytest.mark.parametrize(
+    "entries,message",
+    [
+        ([_entry("y", "+", 2)], "setting 'x' sums to 0, expected m=2"),
+        ([_entry("x", "+", 1)], "setting 'x' sums to 1, expected m=2"),
+        ([_entry("z", "+", 2), _entry("y", "-", 3), _entry("x", "+", 2)],
+         "setting 'y' sums to 3, expected m=2"),
+    ],
+)
+def test_row_sum_error_names_first_bad_setting(entries, message):
+    with pytest.raises(FormatError) as err:
+        measurement.dataset_from_dict({"n": 1, "m": 2, "counts": entries})
+    assert err.value.path == "counts"
+    assert str(err.value) == f"counts: {message}"
+
+
+def test_missing_settings_fail_before_the_table_is_allocated():
+    # The (3^9, 2^9) int64 table alone would take 80 MB.
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError) as err:
+            measurement.dataset_from_dict({"n": 9, "m": 1, "counts": []})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.path == "counts"
+    assert str(err.value) == "counts: setting 'xxxxxxxxx' sums to 0, expected m=1"
+    assert peak < 10 * 2**20
