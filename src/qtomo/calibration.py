@@ -1,7 +1,7 @@
 """Penalty calibrations: oracle, theoretical formula, and bootstrap.
 
 Three ways to pick the rank penalty nu (whose square root thresholds the
-spectrum):
+spectrum), besides a fixed value:
 
 * oracle: the squared operator norm of the actual estimation error,
   computable only when the true state is known (simulation studies);
@@ -13,6 +13,9 @@ spectrum):
 
 Bootstrap repetitions use seeds derived per repetition, so they can run in
 any order (or concurrently) with identical results.
+
+``PenaltyChoice.parse`` reads the one penalty grammar that the command line
+and the studies share, and ``resolve_penalty`` is the one evaluator.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from . import inversion, measurement, pauli, states
 from .errors import ConfigError
 
 PENALTY_MODES = ("oracle", "theory", "bootstrap", "fixed")
+PENALTY_GRAMMAR = "oracle | theory | bootstrap | fixed:VALUE | VALUE, VALUE finite and >= 0"
 
 
 @dataclass
@@ -37,8 +41,6 @@ class PenaltyChoice:
     theta: float = 0.0
     eps: float = 1.0
     reps: int = 20
-    seed: int | None = None
-    mean_of_squares: bool = False
 
     def __post_init__(self):
         if self.mode not in PENALTY_MODES:
@@ -46,10 +48,26 @@ class PenaltyChoice:
                 f"unknown penalty mode {self.mode!r}, expected one of {PENALTY_MODES}"
             )
         if self.mode == "fixed":
-            if self.value is None or self.value < 0:
+            if self.value is None or not 0.0 <= self.value < math.inf:
                 raise ConfigError(
-                    f"fixed penalty needs a value >= 0, got {self.value!r}"
+                    f"fixed penalty needs a finite value >= 0, got {self.value!r}"
                 )
+
+    @classmethod
+    def parse(cls, text: str, *, theta: float, eps: float, reps: int) -> PenaltyChoice:
+        """Read one penalty token: oracle | theory | bootstrap | fixed:VALUE | VALUE.
+
+        A bare number means ``fixed:`` that number. Surrounding whitespace is
+        ignored; anything else raises ConfigError.
+        """
+        token = text.strip()
+        mode, value = token, None
+        if token.startswith("fixed:") or token not in PENALTY_MODES:
+            try:
+                mode, value = "fixed", float(token.removeprefix("fixed:"))
+            except ValueError:
+                raise ConfigError(f"penalty {text!r}: expected {PENALTY_GRAMMAR}") from None
+        return cls(mode, value, theta, eps, reps)
 
 
 def nu_oracle(est: inversion.LinearEstimate, rho_true: np.ndarray) -> float:
@@ -77,8 +95,8 @@ def nu_theory(n: int, m: int, theta: float = 0.0, eps: float = 1.0) -> float:
     pauli.check_qubits(n)
     if m < 1:
         raise ValueError(f"repetition count m={m} must be >= 1")
-    if theta < 0:
-        raise ValueError(f"theta={theta} must be >= 0")
+    if not 0.0 <= theta < math.inf:
+        raise ValueError(f"theta={theta} must be finite and >= 0")
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"eps={eps} out of (0, 1]")
     return (
@@ -113,35 +131,23 @@ def bootstrap_norms(
     return norms
 
 
-def nu_bootstrap(
-    est: inversion.LinearEstimate,
-    m: int,
-    reps: int,
-    seed,
-    mean_of_squares: bool = False,
-) -> float:
-    """Bootstrap estimate of the oracle penalty.
-
-    Default aggregation squares the mean norm; ``mean_of_squares=True``
-    averages the squared norms instead.
-    """
-    return _aggregate_norms(bootstrap_norms(est, m, reps, seed), mean_of_squares)
-
-
-def _aggregate_norms(norms: np.ndarray, mean_of_squares: bool) -> float:
-    """Squared mean norm, or the mean squared norm with ``mean_of_squares``."""
-    if mean_of_squares:
-        return float(np.mean(norms**2))
-    return float(np.mean(norms) ** 2)
+def nu_bootstrap(est: inversion.LinearEstimate, m: int, reps: int, seed) -> float:
+    """Bootstrap estimate of the oracle penalty: the squared mean of ``bootstrap_norms``."""
+    return resolve_penalty(PenaltyChoice("bootstrap", reps=reps), est, m, seed)[0]
 
 
 def resolve_penalty(
     choice: PenaltyChoice,
     est: inversion.LinearEstimate,
     m: int,
+    seed,
     rho_true: np.ndarray | None = None,
 ) -> tuple[float, dict]:
-    """Evaluate a penalty choice; returns (nu, details for the report)."""
+    """Evaluate a penalty choice; returns (nu, details for the report).
+
+    ``seed`` (an int or a SeedSequence) drives the bootstrap draws and is
+    ignored by the other modes.
+    """
     if choice.mode == "fixed":
         return float(choice.value), {}
     if choice.mode == "oracle":
@@ -154,9 +160,8 @@ def resolve_penalty(
             "eps": choice.eps,
         }
     # bootstrap
-    seed = 0 if choice.seed is None else choice.seed
     norms = bootstrap_norms(est, m, choice.reps, seed)
-    return _aggregate_norms(norms, choice.mean_of_squares), {
+    return float(np.mean(norms) ** 2), {
         "norms": [float(x) for x in norms],
         "reps": choice.reps,
     }

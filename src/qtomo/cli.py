@@ -68,42 +68,16 @@ def _build_state(args) -> np.ndarray:
     return matrix
 
 
-def _penalty_choice(args) -> calibration.PenaltyChoice:
-    text = args.penalty
-    mode, value = text, None
-    if text.startswith("fixed:"):
-        mode, raw = "fixed", text.split(":", 1)[1]
-        try:
-            value = float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"--penalty fixed:VALUE needs a number, got {raw!r}") from exc
-    elif text not in calibration.PENALTY_MODES:
-        try:
-            value = float(text)
-            mode = "fixed"
-        except ValueError as exc:
-            raise ConfigError(
-                f"--penalty must be one of {calibration.PENALTY_MODES}, "
-                f"'fixed:VALUE', or a bare number; got {text!r}"
-            ) from exc
-    return calibration.PenaltyChoice(
-        mode=mode,
-        value=value,
-        theta=args.theta,
-        eps=args.eps,
-        reps=args.reps,
-        seed=args.seed,
-    )
-
-
 def _resolve_penalty(args, est, m) -> tuple[float, dict, str]:
-    choice = _penalty_choice(args)
+    choice = calibration.PenaltyChoice.parse(
+        args.penalty, theta=args.theta, eps=args.eps, reps=args.reps
+    )
     rho_true = None
     if choice.mode == "oracle":
         if args.state is None:
             raise ConfigError("--penalty oracle needs --state <state JSON file>")
         rho_true = _load_true_state(args.state)
-    nu, details = calibration.resolve_penalty(choice, est, m, rho_true)
+    nu, details = calibration.resolve_penalty(choice, est, m, args.seed, rho_true)
     return nu, details, choice.mode
 
 
@@ -162,16 +136,6 @@ def cmd_estimate(args) -> int:
 def cmd_rank_study(args) -> int:
     d_values = _parse_int_list(args.d, "--d")
     modes = [part.strip() for part in args.penalty.split(",") if part.strip()]
-    if not modes:
-        raise ConfigError("--penalty: empty mode list")
-    for mode in modes:
-        if mode.startswith("fixed:"):
-            try:
-                float(mode.split(":", 1)[1])
-            except ValueError as exc:
-                raise ConfigError(f"penalty mode {mode!r}: fixed:VALUE needs a number") from exc
-        elif mode not in ("oracle", "theory", "bootstrap"):
-            raise ConfigError(f"rank-study penalty mode {mode!r} not recognized")
     _records, aggregates = studies.rank_study(
         args.n,
         args.m,
@@ -238,7 +202,7 @@ def _add_penalty_flags(sub) -> None:
     sub.add_argument(
         "--penalty",
         default="theory",
-        help="oracle | theory | bootstrap | fixed:VALUE (or a bare number)",
+        help=f"{calibration.PENALTY_GRAMMAR} (default theory)",
     )
     sub.add_argument("--theta", type=float, default=0.0, help="theory-penalty theta (default 0)")
     sub.add_argument("--eps", type=float, default=1.0, help="theory-penalty eps in (0, 1] (default 1)")
@@ -302,7 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--penalty",
         default="oracle,theory",
-        help="comma-separated penalty modes (default oracle,theory)",
+        help=f"comma-separated penalty tokens, each {calibration.PENALTY_GRAMMAR} "
+        "(default oracle,theory)",
     )
     p.add_argument("--theta", type=float, default=0.0)
     p.add_argument("--eps", type=float, default=1.0)
@@ -364,9 +329,6 @@ def main(argv=None) -> int:
     except FormatError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 4
-    except FileNotFoundError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return 3
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 3

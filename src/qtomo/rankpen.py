@@ -59,6 +59,11 @@ class RankPenalizedFit:
     physical_rank: int
 
 
+def _check_penalty(nu: float) -> None:
+    if not 0.0 <= nu < np.inf:
+        raise ValueError(f"penalty nu={nu} must be finite and >= 0")
+
+
 def spectral(est) -> SpectralDecomposition:
     """Decompose a Hermitian matrix (or estimate) by decreasing singular value."""
     matrix = states.require_hermitian(_matrix_of(est))
@@ -91,8 +96,7 @@ def select_rank_threshold(dec: SpectralDecomposition, nu: float) -> int:
     The comparison is non-strict, so a singular value exactly at the
     threshold is selected.
     """
-    if nu < 0:
-        raise ValueError(f"penalty nu={nu} must be >= 0")
+    _check_penalty(nu)
     return int(np.count_nonzero(dec.singular_values >= np.sqrt(nu)))
 
 
@@ -103,8 +107,7 @@ def penalized_fit(est, nu: float) -> RankPenalizedFit:
     comparison while scanning upward), which keeps the scan minimizer
     identical to ``select_rank_threshold`` including exact-tie cases.
     """
-    if nu < 0:
-        raise ValueError(f"penalty nu={nu} must be >= 0")
+    _check_penalty(nu)
     dec = spectral(est)
     lam2 = dec.singular_values**2
     dim = lam2.size
@@ -141,8 +144,7 @@ def penalized_error_bound(rho: np.ndarray, nu: float, theta: float) -> float:
     """
     if theta <= 0:
         raise ValueError(f"theta={theta} must be > 0")
-    if nu < 0:
-        raise ValueError(f"penalty nu={nu} must be >= 0")
+    _check_penalty(nu)
     matrix = states.require_hermitian(rho)
     lam = np.sort(np.linalg.eigvalsh(matrix))[::-1]
     lam2 = lam**2

@@ -42,28 +42,6 @@ def _bootstrap_stream(seed: int, *key: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed, spawn_key=(1, *key))
 
 
-def _mode_penalty(
-    mode: str,
-    est: inversion.LinearEstimate,
-    m: int,
-    op_error: float,
-    n: int,
-    theta: float,
-    eps: float,
-    bootstrap_reps: int,
-    stream: np.random.SeedSequence,
-) -> float:
-    if mode == "oracle":
-        return op_error**2
-    if mode == "theory":
-        return calibration.nu_theory(n, m, theta, eps)
-    if mode == "bootstrap":
-        return calibration.nu_bootstrap(est, m, bootstrap_reps, stream)
-    if mode.startswith("fixed:"):
-        return float(mode.split(":", 1)[1])
-    raise ConfigError(f"unknown penalty mode {mode!r}")
-
-
 def rank_study(
     n: int,
     m: int,
@@ -78,14 +56,23 @@ def rank_study(
     """Frequency of recovering the true rank of diagonal test states.
 
     For each d, simulates ``reps`` datasets from the rank-d diagonal state,
-    inverts each, and selects a rank per penalty mode. Aggregates report,
-    per (d, mode): the selection frequency, the mean penalty, and the mean
-    operator-norm error of the linear estimate.
+    inverts each, and selects a rank per penalty mode. Each mode is a
+    ``PenaltyChoice.parse`` token, reported as given; all are parsed before
+    the first simulation. Aggregates report, per (d, mode): the selection
+    frequency, the mean penalty, and the mean operator-norm error of the
+    linear estimate.
     """
     if not d_values:
         raise ConfigError("empty d sweep")
+    if not modes:
+        raise ConfigError("empty penalty mode list")
     if reps < 1:
         raise ConfigError(f"reps={reps} must be >= 1")
+    choices = [
+        (mode, calibration.PenaltyChoice.parse(
+            mode, theta=theta, eps=eps, reps=bootstrap_reps))
+        for mode in modes
+    ]
     records: list[StudyRecord] = []
     for d in d_values:
         rho = states.diag_state(n, d)
@@ -98,10 +85,9 @@ def rank_study(
             diff = est.matrix - rho
             op_error = states.operator_norm(diff)
             frob_error = states.frobenius_norm(diff)
-            for mode in modes:
-                nu = _mode_penalty(
-                    mode, est, m, op_error, n, theta, eps, bootstrap_reps,
-                    _bootstrap_stream(seed, d, rep),
+            for mode, choice in choices:
+                nu, _details = calibration.resolve_penalty(
+                    choice, est, m, _bootstrap_stream(seed, d, rep), rho_true=rho
                 )
                 k_hat = rankpen.select_rank_threshold(dec, nu)
                 records.append(

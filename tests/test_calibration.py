@@ -39,8 +39,9 @@ def test_nu_theory_scaling_and_ranges():
     assert calibration.nu_theory(3, 80, theta=1.0, eps=0.2) > v
     with pytest.raises(ValueError):
         calibration.nu_theory(3, 0)
-    with pytest.raises(ValueError):
-        calibration.nu_theory(3, 80, theta=-0.1)
+    for theta in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            calibration.nu_theory(3, 80, theta=theta)
     with pytest.raises(ValueError):
         calibration.nu_theory(3, 80, eps=0.0)
     with pytest.raises(ValueError):
@@ -83,14 +84,6 @@ def test_nu_bootstrap_tracks_oracle_within_factor_three():
     assert truth / 3.0 <= boot <= truth * 3.0
 
 
-def test_nu_bootstrap_mean_of_squares_is_larger():
-    ds = measurement.simulate_dataset(states.ghz(2), 80, 19)
-    est = inversion.linear_estimator(measurement.empirical_frequencies(ds))
-    default = calibration.nu_bootstrap(est, 80, 10, 7)
-    mos = calibration.nu_bootstrap(est, 80, 10, 7, mean_of_squares=True)
-    assert mos >= default
-
-
 def test_nu_theory_dominates_observed_oracle():
     # the closed-form penalty is a loose upper bound in practice
     n, m = 4, 50
@@ -103,14 +96,62 @@ def test_nu_theory_dominates_observed_oracle():
             assert calibration.nu_oracle(est, rho) < bound
 
 
-def test_penalty_choice_validation():
+PARSE_TABLE = [
+    ("oracle", ("oracle", None)),
+    ("theory", ("theory", None)),
+    ("bootstrap", ("bootstrap", None)),
+    ("fixed:0.05", ("fixed", 0.05)),
+    ("fixed:0", ("fixed", 0.0)),
+    ("0.05", ("fixed", 0.05)),
+    ("2", ("fixed", 2.0)),
+    ("1e-3", ("fixed", 0.001)),
+    # tokens as they come out of a comma list such as "oracle, theory ,0.5"
+    (" theory", ("theory", None)),
+    ("theory ", ("theory", None)),
+    (" 0.5 ", ("fixed", 0.5)),
+    (" fixed:0.5", ("fixed", 0.5)),
+    ("fixed", ConfigError),
+    ("fixed:", ConfigError),
+    ("fixed:x", ConfigError),
+    ("fixed:fixed:1", ConfigError),
+    ("fixed:-1", ConfigError),
+    ("-1", ConfigError),
+    ("-0.5", ConfigError),
+    ("nan", ConfigError),
+    ("fixed:nan", ConfigError),
+    ("inf", ConfigError),
+    ("fixed:inf", ConfigError),
+    ("-inf", ConfigError),
+    ("magic", ConfigError),
+    ("Theory", ConfigError),
+    ("", ConfigError),
+    ("oracle,theory", ConfigError),
+]
+
+
+@pytest.mark.parametrize(
+    "text, expected", PARSE_TABLE, ids=[repr(text) for text, _ in PARSE_TABLE]
+)
+def test_penalty_choice_parse(text, expected):
+    if expected is ConfigError:
+        with pytest.raises(ConfigError):
+            calibration.PenaltyChoice.parse(text, theta=0.0, eps=1.0, reps=20)
+        return
+    choice = calibration.PenaltyChoice.parse(text, theta=0.5, eps=0.1, reps=7)
+    assert (choice.mode, choice.value) == expected
+    assert (choice.theta, choice.eps, choice.reps) == (0.5, 0.1, 7)
+
+
+@pytest.mark.parametrize("value", [None, -1.0, float("nan"), float("inf")])
+def test_fixed_penalty_choice_needs_finite_non_negative_value(value):
+    with pytest.raises(ConfigError):
+        calibration.PenaltyChoice(mode="fixed", value=value)
+
+
+def test_penalty_choice_rejects_unknown_mode():
     with pytest.raises(ConfigError):
         calibration.PenaltyChoice(mode="magic")
-    with pytest.raises(ConfigError):
-        calibration.PenaltyChoice(mode="fixed")
-    with pytest.raises(ConfigError):
-        calibration.PenaltyChoice(mode="fixed", value=-1.0)
-    calibration.PenaltyChoice(mode="fixed", value=0.2)
+    assert calibration.PenaltyChoice(mode="fixed", value=0.2).value == 0.2
 
 
 def test_resolve_penalty_modes():
@@ -119,36 +160,30 @@ def test_resolve_penalty_modes():
     est = inversion.linear_estimator(measurement.empirical_frequencies(ds))
 
     nu, details = calibration.resolve_penalty(
-        calibration.PenaltyChoice(mode="fixed", value=0.2), est, 50
+        calibration.PenaltyChoice(mode="fixed", value=0.2), est, 50, 0
     )
     assert nu == 0.2 and details == {}
 
     nu, _ = calibration.resolve_penalty(
-        calibration.PenaltyChoice(mode="oracle"), est, 50, rho_true=rho
+        calibration.PenaltyChoice(mode="oracle"), est, 50, 0, rho_true=rho
     )
     assert abs(nu - calibration.nu_oracle(est, rho)) < 1e-15
 
     with pytest.raises(ConfigError, match="true state"):
-        calibration.resolve_penalty(calibration.PenaltyChoice(mode="oracle"), est, 50)
+        calibration.resolve_penalty(calibration.PenaltyChoice(mode="oracle"), est, 50, 0)
 
     nu, details = calibration.resolve_penalty(
-        calibration.PenaltyChoice(mode="theory", theta=0.0, eps=1.0), est, 50
+        calibration.PenaltyChoice(mode="theory", theta=0.0, eps=1.0), est, 50, 0
     )
     assert abs(nu - calibration.nu_theory(2, 50)) < 1e-15
     assert details == {"theta": 0.0, "eps": 1.0}
 
     nu, details = calibration.resolve_penalty(
-        calibration.PenaltyChoice(mode="bootstrap", reps=6, seed=31), est, 50
+        calibration.PenaltyChoice(mode="bootstrap", reps=6), est, 50, 31
     )
     assert len(details["norms"]) == 6
     assert abs(nu - float(np.mean(details["norms"])) ** 2) < 1e-12
-
-    nu, _ = calibration.resolve_penalty(
-        calibration.PenaltyChoice(mode="bootstrap", reps=6, seed=31, mean_of_squares=True),
-        est,
-        50,
-    )
-    assert nu == calibration.nu_bootstrap(est, 50, 6, 31, mean_of_squares=True)
+    assert nu == calibration.nu_bootstrap(est, 50, 6, 31)
 
 
 def test_calibration_report_dict():

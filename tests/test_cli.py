@@ -158,6 +158,43 @@ def test_rank_study_csv(tmp_path):
     assert out.read_bytes() == again.read_bytes()
 
 
+def test_rank_study_bare_number_mode(tmp_path):
+    out = tmp_path / "study.csv"
+    code = run("rank-study", "--n", 2, "--m", 60, "--d", "1,2", "--penalty",
+               "theory, 0.5", "--reps", 2, "--seed", 0, "--out", out)
+    assert code == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [r[1] for r in rows] == ["theory", "0.5", "theory", "0.5"]
+    assert [float(r[3]) for r in rows if r[1] == "0.5"] == [0.5, 0.5]
+
+
+@pytest.mark.parametrize("bad", ["fixed:-1", "fixed:x", "magic", "fixed:nan"])
+def test_rank_study_bad_mode_exit_2_before_simulating(tmp_path, monkeypatch, bad):
+    calls = []
+    simulate = measurement.simulate_dataset
+    monkeypatch.setattr(
+        measurement, "simulate_dataset", lambda *a: calls.append(1) or simulate(*a)
+    )
+    out = tmp_path / "study.csv"
+    code = run("rank-study", "--n", 2, "--m", 60, "--d", "1,2", "--penalty",
+               f"theory,{bad}", "--reps", 2, "--out", out)
+    assert code == 2
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "fixed:nan", "fixed:inf"])
+def test_non_finite_penalty_exit_2_without_output(tmp_path, capsys, token):
+    data = tmp_path / "data.json"
+    run("simulate", "--n", 1, "--m", 20, "--d", 1, "--out", data)
+    capsys.readouterr()
+    for command in ("estimate", "spectrum", "calibrate"):
+        out = tmp_path / command
+        assert run(command, data, "--penalty", token, "--out", out) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_error_study_csv_and_empty_sweep(tmp_path):
     out = tmp_path / "err.csv"
     code = run("error-study", "--n", 2, "--m", "20,40", "--d", "1,2", "--reps", 3,

@@ -60,6 +60,17 @@ def test_select_rank_threshold_examples():
         rankpen.select_rank_threshold(dec, -0.1)
 
 
+@pytest.mark.parametrize("nu", [float("nan"), float("inf")])
+def test_non_finite_penalty_rejected(nu):
+    rho = np.diag([0.9, 0.1, 0.0, 0.0]).astype(complex)
+    with pytest.raises(ValueError, match="finite"):
+        rankpen.select_rank_threshold(rankpen.spectral(rho), nu)
+    with pytest.raises(ValueError, match="finite"):
+        rankpen.penalized_fit(rho, nu)
+    with pytest.raises(ValueError, match="finite"):
+        rankpen.penalized_error_bound(rho, nu, 1.0)
+
+
 def test_penalized_fit_exact_diag_state():
     est = inversion.linear_estimator(measurement.exact_frequencies(states.diag_state(2, 2)))
     fit = rankpen.penalized_fit(est, 0.01)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qtomo import inversion, measurement, states, studies
+from qtomo import calibration, inversion, measurement, states, studies
 from qtomo.errors import ConfigError
 
 
@@ -41,6 +41,46 @@ def test_rank_study_rejects_bad_input():
         studies.rank_study(2, 40, [1], reps=0)
     with pytest.raises(ConfigError):
         studies.rank_study(2, 40, [1], modes=("magic",), reps=1)
+
+
+def test_rank_study_nu_matches_independent_formulas():
+    n, m, seed, theta, eps, boot_reps = 2, 40, 5, 0.5, 0.2, 4
+    modes = ("oracle", "theory", "bootstrap", "fixed:0.03", "0.07")
+    records, aggregates = studies.rank_study(
+        n, m, [1, 2], modes=modes, reps=2, seed=seed, theta=theta, eps=eps,
+        bootstrap_reps=boot_reps,
+    )
+    assert len(records) == 2 * 2 * len(modes)
+    assert [a["mode"] for a in aggregates] == list(modes) * 2
+    for r in records:
+        rho = states.diag_state(n, r.d)
+        ds = measurement.simulate_dataset(
+            rho, m, np.random.SeedSequence(seed, spawn_key=(0, r.d, r.rep))
+        )
+        est = inversion.linear_estimator(measurement.empirical_frequencies(ds))
+        boot = np.random.SeedSequence(seed, spawn_key=(1, r.d, r.rep))
+        expected = {
+            "oracle": states.operator_norm(est.matrix - rho) ** 2,
+            "theory": calibration.nu_theory(n, m, theta, eps),
+            "bootstrap": float(
+                np.mean(calibration.bootstrap_norms(est, m, boot_reps, boot))
+            ) ** 2,
+            "fixed:0.03": 0.03,
+            "0.07": 0.07,
+        }[r.mode]
+        assert r.nu == expected, r
+
+
+@pytest.mark.parametrize("bad", ["fixed:-1", "fixed:x", "magic", "fixed:nan"])
+def test_rank_study_rejects_bad_mode_before_simulating(monkeypatch, bad):
+    calls = []
+    simulate = measurement.simulate_dataset
+    monkeypatch.setattr(
+        measurement, "simulate_dataset", lambda *a: calls.append(1) or simulate(*a)
+    )
+    with pytest.raises(ConfigError):
+        studies.rank_study(2, 40, [1, 2], modes=("theory", bad), reps=2)
+    assert calls == []
 
 
 def test_error_study_aggregates():
