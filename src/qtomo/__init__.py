@@ -29,7 +29,6 @@ from .measurement import (
     empirical_frequencies,
     exact_frequencies,
     load_dataset,
-    outcome_probability,
     probability_table,
     save_dataset,
     simulate_dataset,
@@ -89,7 +88,6 @@ __all__ = [
     "nu_oracle",
     "nu_theory",
     "operator_norm",
-    "outcome_probability",
     "pauli_assemble",
     "pauli_expand",
     "penalized_fit",

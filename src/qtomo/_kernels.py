@@ -61,9 +61,9 @@ def table_from_coeffs(coeffs: np.ndarray, n: int) -> np.ndarray:
 def design_adjoint_sums(table: np.ndarray, n: int) -> np.ndarray:
     """Per-label sums of table values weighted by design entries.
 
-    Entry b is sum over all (setting, outcome) of
-    ``table[a, r] * design_entry(r, a, b)``; dividing by 3^degree(b) * 2^n
-    turns these into inverted Pauli coefficients.
+    Entry b is the sum over all (setting a, outcome r) of ``table[a, r]``
+    times the design entry, the product over qubits j of ``E[(a_j, r_j), b_j]``;
+    dividing by 3^degree(b) * 2^n turns these into inverted Pauli coefficients.
     """
     t = np.asarray(table, dtype=np.float64).reshape((3,) * n + (2,) * n)
     t = np.transpose(t, _interleave_perm(n)).reshape((6,) * n)

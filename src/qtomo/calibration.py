@@ -52,6 +52,14 @@ class PenaltyChoice:
                 raise ConfigError(
                     f"fixed penalty needs a finite value >= 0, got {self.value!r}"
                 )
+        # the same checks as nu_theory and bootstrap_norms, made before any work
+        if self.mode == "theory":
+            if not 0.0 <= self.theta < math.inf:
+                raise ConfigError(f"theta={self.theta} must be finite and >= 0")
+            if not 0.0 < self.eps <= 1.0:
+                raise ConfigError(f"eps={self.eps} out of (0, 1]")
+        if self.mode == "bootstrap" and self.reps < 2:
+            raise ConfigError(f"bootstrap needs reps >= 2, got {self.reps}")
 
     @classmethod
     def parse(cls, text: str, *, theta: float, eps: float, reps: int) -> PenaltyChoice:

@@ -68,7 +68,12 @@ def _build_state(args) -> np.ndarray:
     return matrix
 
 
-def _resolve_penalty(args, est, m) -> tuple[float, dict, str]:
+def _estimate_with_penalty(args):
+    """Linear estimate of the dataset file and its penalty: (est, nu, details, mode).
+
+    The penalty and, for oracle, the true-state file are checked before the
+    dataset is read.
+    """
     choice = calibration.PenaltyChoice.parse(
         args.penalty, theta=args.theta, eps=args.eps, reps=args.reps
     )
@@ -77,8 +82,10 @@ def _resolve_penalty(args, est, m) -> tuple[float, dict, str]:
         if args.state is None:
             raise ConfigError("--penalty oracle needs --state <state JSON file>")
         rho_true = _load_true_state(args.state)
-    nu, details = calibration.resolve_penalty(choice, est, m, args.seed, rho_true)
-    return nu, details, choice.mode
+    dataset = measurement.load_dataset(args.dataset)
+    est = inversion.linear_estimator(measurement.empirical_frequencies(dataset))
+    nu, details = calibration.resolve_penalty(choice, est, dataset.m, args.seed, rho_true)
+    return est, nu, details, choice.mode
 
 
 def _write_csv(path, header, rows) -> None:
@@ -111,15 +118,8 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _estimate_from_file(path):
-    dataset = measurement.load_dataset(path)
-    freqs = measurement.empirical_frequencies(dataset)
-    return dataset, inversion.linear_estimator(freqs)
-
-
 def cmd_estimate(args) -> int:
-    dataset, est = _estimate_from_file(args.dataset)
-    nu, _details, mode = _resolve_penalty(args, est, dataset.m)
+    est, nu, _details, mode = _estimate_with_penalty(args)
     fit = rankpen.penalized_fit(est, nu)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -169,8 +169,7 @@ def cmd_error_study(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    dataset, est = _estimate_from_file(args.dataset)
-    nu, _details, _mode = _resolve_penalty(args, est, dataset.m)
+    est, nu, _details, _mode = _estimate_with_penalty(args)
     rows = [
         [r["index"], r["singular_value"], r["threshold"]]
         for r in studies.spectrum_rows(est, nu)
@@ -182,8 +181,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    dataset, est = _estimate_from_file(args.dataset)
-    nu, details, mode = _resolve_penalty(args, est, dataset.m)
+    est, nu, details, mode = _estimate_with_penalty(args)
     report = calibration.calibration_report_dict(mode, nu, details)
     if args.out:
         _write_json(args.out, report)

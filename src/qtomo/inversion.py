@@ -40,9 +40,10 @@ class LinearEstimate:
 def invert_coefficients(freqs: EmpiricalFrequencies) -> np.ndarray:
     """Pauli coefficients recovered from per-setting outcome frequencies.
 
-    ``coeffs[b] = sum over (setting, outcome) of freq * design_entry,
-    divided by 3^degree(b) * 2^n``. Only the 3^degree(b) settings matching
-    b outside its identity positions contribute (zero design entries).
+    ``coeffs[b]`` is the sum over (setting a, outcome r) of the frequency
+    times the design entry Tr(sigma_b P_r^a), divided by 3^degree(b) * 2^n.
+    Only the 3^degree(b) settings matching b outside its identity positions
+    contribute (the other design entries are zero).
     """
     sums = _kernels.design_adjoint_sums(freqs.values, freqs.n)
     scale = 3.0 ** pauli.label_degrees(freqs.n) * float(2**freqs.n)

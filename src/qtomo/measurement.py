@@ -2,10 +2,9 @@
 
 Measuring one Pauli axis per qubit under setting ``a`` yields a sign vector
 ``r`` with probability ``Tr(rho P_r^a)``, the trace against the tensor
-product of single-qubit eigenprojectors. The same number equals the sign- and
-indicator-weighted sum of the state's Pauli coefficients, which is what the
-fast table kernels evaluate; ``outcome_probability`` exposes both routes so
-they can be checked against each other.
+product of single-qubit eigenprojectors. The same number equals the sum over
+labels b of the state's Pauli coefficient times the design entry
+Tr(sigma_b P_r^a), which is what the table kernels evaluate.
 
 A ``Dataset`` records, for each of the 3^n settings, the outcome counts of
 ``m`` independent repetitions. Sampling draws one multinomial per setting
@@ -80,35 +79,6 @@ class EmpiricalFrequencies:
             raise ValueError(
                 f"per-setting frequency sums deviate from 1 by {dev:.3e}"
             )
-
-
-def outcome_probability(
-    rho: np.ndarray, setting: str, outcome: str, path: str = "trace"
-) -> float:
-    """Probability of observing ``outcome`` when measuring ``setting``.
-
-    Two independent routes are implemented and agree to 1e-12:
-    ``path="trace"`` evaluates Tr(rho P_r^a) directly; ``path="pauli"``
-    sums the state's Pauli coefficients weighted by design entries.
-    """
-    n = states.qubit_count(rho)
-    if len(setting) != n or len(outcome) != n:
-        raise ValueError(
-            f"dimension mismatch: state has n={n}, setting {len(setting)}, "
-            f"outcome {len(outcome)}"
-        )
-    if path == "trace":
-        proj = pauli.projector(setting, outcome)
-        return float(np.trace(np.asarray(rho, dtype=complex) @ proj).real)
-    if path == "pauli":
-        coeffs = states.pauli_expand(rho)
-        total = 0.0
-        for idx, b in enumerate(pauli.all_labels(n)):
-            entry = pauli.design_entry(outcome, setting, b)
-            if entry:
-                total += coeffs[idx] * entry
-        return total
-    raise ValueError(f"unknown path {path!r}, expected 'trace' or 'pauli'")
 
 
 def probability_table(rho: np.ndarray) -> np.ndarray:

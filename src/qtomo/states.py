@@ -114,8 +114,10 @@ def trace_norm(matrix: np.ndarray) -> float:
 def pauli_expand(matrix: np.ndarray) -> np.ndarray:
     """Real Pauli coefficients of a Hermitian matrix, in label order.
 
-    ``coeffs[label_index(b)] = Tr(matrix @ pauli_matrix(b)) / 2^n``, computed
-    by a per-qubit 4x4 change of basis rather than 4^n explicit traces.
+    The coefficient of label b, at b's position in ``pauli.all_labels``, is
+    ``Tr(matrix @ sigma_b) / 2^n`` with sigma_b the Kronecker product of b's
+    single-qubit Pauli matrices; it is computed by a per-qubit 4x4 change of
+    basis rather than 4^n explicit traces.
     """
     matrix = require_hermitian(matrix)
     n = qubit_count(matrix)

@@ -58,11 +58,12 @@ class ReferenceTomography:
                 for outcome in itertools.product("-+", repeat=n)
             ]
         )
-        # Design entry (k, b) is Tr(sigma_b P_k): rho = sum_b x_b sigma_b has
-        # outcome probabilities design @ x.
+        # Design entry (k, b) is Tr(sigma_b P_k), shape (6^n, 4^n): rho =
+        # sum_b x_b sigma_b has outcome probabilities design @ x.
         flat_p = self.projectors.reshape(len(self.projectors), -1)
         flat_s = self.paulis.transpose(0, 2, 1).reshape(len(self.paulis), -1)
-        self.pinv = np.linalg.pinv((flat_p @ flat_s.T).real)
+        self.design = (flat_p @ flat_s.T).real
+        self.pinv = np.linalg.pinv(self.design)
 
     def probabilities(self, rho: np.ndarray) -> np.ndarray:
         """Tr(rho P_r^a) as a (3^n, 2^n) table."""

@@ -20,9 +20,11 @@ method makes it, against references that share no code with the fast paths:
   simulation of the same model.
 """
 
+import ast
 import itertools
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from conftest import (
     reference_sq_op_norm,
 )
 from qtomo import (
+    _kernels,
     calibration,
     inversion,
     measurement,
@@ -66,9 +69,14 @@ def test_criterion_01_exact_inversion_identity():
     t0 = time.perf_counter()
     worst = 0.0
     for n in (1, 2, 3):
+        ref = ReferenceTomography(n)
         for _name, rho in _example_states(n):
-            est = inversion.linear_estimator(measurement.exact_frequencies(rho))
-            worst = max(worst, float(np.linalg.norm(est.matrix - rho)))
+            # exact frequencies from the package's forward map and from the
+            # reference's projector traces must both invert to the state
+            for freqs in (measurement.exact_frequencies(rho),
+                          measurement.EmpiricalFrequencies(n, ref.probabilities(rho))):
+                est = inversion.linear_estimator(freqs)
+                worst = max(worst, float(np.linalg.norm(est.matrix - rho)))
     elapsed = time.perf_counter() - t0
     _check(
         1,
@@ -79,34 +87,55 @@ def test_criterion_01_exact_inversion_identity():
 
 
 def test_criterion_02_gram_structure():
+    # Column b of the Gram matrix is the adjoint kernel applied to the forward
+    # kernel's image of the unit vector e_b. Every entry is an integer below
+    # 2^53, so the float sums are exact and any deviation is an error.
     t0 = time.perf_counter()
-    ok = True
-    for n in (1, 2):
-        labels = list(pauli.all_labels(n))
-        gram = np.array(
-            [[pauli.gram_entry(b1, b2) for b2 in labels] for b1 in labels],
-            dtype=np.int64,
+    worst = 0.0
+    for n in (1, 2, 3):
+        gram = np.stack(
+            [_kernels.design_adjoint_sums(_kernels.table_from_coeffs(e_b, n), n)
+             for e_b in np.eye(4**n)],
+            axis=1,
         )
-        expected = np.diag(3 ** pauli.label_degrees(n) * 2**n)
-        ok = ok and np.array_equal(gram, expected)
+        design = ReferenceTomography(n).design
+        expected = np.diag(3.0 ** pauli.label_degrees(n) * 2**n)
+        worst = max(worst, np.abs(gram - design.T @ design).max(),
+                    np.abs(gram - expected).max())
     elapsed = time.perf_counter() - t0
-    _check(2, "gram structure", ok and elapsed < 5.0, f"{elapsed:.1f}s")
+    _check(2, "gram structure", worst == 0.0 and elapsed < 5.0,
+           f"worst dev {worst:.2e}, {elapsed:.1f}s")
 
 
 def test_criterion_03_probability_path_equivalence():
+    # the kernel route (Pauli coefficients through the design) against
+    # Tr(rho P_r^a) with Kronecker-product projectors
     rng = np.random.default_rng(2025)
     worst = 0.0
     for n, count in ((1, 17), (2, 17), (3, 16)):
+        ref = ReferenceTomography(n)
         for _ in range(count):
             g = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
             rho = g @ g.conj().T
             rho /= rho.trace().real
-            for a in pauli.all_settings(n):
-                for r in pauli.all_outcomes(n):
-                    pt = measurement.outcome_probability(rho, a, r, path="trace")
-                    pf = measurement.outcome_probability(rho, a, r, path="pauli")
-                    worst = max(worst, abs(pt - pf))
+            dev = np.abs(measurement.probability_table(rho) - ref.probabilities(rho)).max()
+            worst = max(worst, dev)
     _check(3, "probability path equivalence", worst < 1e-12, f"worst dev {worst:.2e}")
+
+
+def test_reference_imports_no_qtomo():
+    # criteria 1-3 and 5 rely on the conftest reference sharing no code with
+    # the package it checks
+    tree = ast.parse((Path(__file__).parent / "conftest.py").read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append(node.module or "")
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            imported.append(node.value)  # importlib.import_module("qtomo...")
+    assert not [name for name in imported if name.split(".")[0] == "qtomo"]
 
 
 @pytest.fixture(scope="module")

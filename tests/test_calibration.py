@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,25 @@ def test_penalty_choice_rejects_unknown_mode():
     with pytest.raises(ConfigError):
         calibration.PenaltyChoice(mode="magic")
     assert calibration.PenaltyChoice(mode="fixed", value=0.2).value == 0.2
+
+
+@pytest.mark.parametrize("mode, field, value", [
+    ("theory", "theta", -0.5),
+    ("theory", "theta", math.nan),
+    ("theory", "theta", math.inf),
+    ("theory", "eps", 0.0),
+    ("theory", "eps", 1.5),
+    ("theory", "eps", math.nan),
+    ("bootstrap", "reps", 1),
+    ("bootstrap", "reps", 0),
+])
+def test_penalty_choice_checks_its_mode_parameters(mode, field, value):
+    with pytest.raises(ConfigError):
+        calibration.PenaltyChoice(mode=mode, **{field: value})
+    # a mode that ignores the value keeps accepting it
+    other = "bootstrap" if mode == "theory" else "theory"
+    for ignoring in ("oracle", "fixed", other):
+        calibration.PenaltyChoice(mode=ignoring, value=0.1, **{field: value})
 
 
 def test_resolve_penalty_modes():

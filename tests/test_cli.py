@@ -195,6 +195,34 @@ def test_non_finite_penalty_exit_2_without_output(tmp_path, capsys, token):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("mode, flag, value", [
+    ("theory", "--eps", "0"),
+    ("theory", "--eps", "1.5"),
+    ("theory", "--theta", "nan"),
+    ("theory", "--theta", "-1"),
+    ("bootstrap", "--reps", "1"),
+])
+def test_bad_penalty_parameter_exit_2_before_work(tmp_path, monkeypatch, mode, flag, value):
+    data = tmp_path / "data.json"
+    run("simulate", "--n", 1, "--m", 20, "--d", 1, "--out", data)
+    calls = []
+    for name in ("load_dataset", "simulate_dataset"):
+        original = getattr(measurement, name)
+        monkeypatch.setattr(
+            measurement, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a)
+        )
+    for command in ("estimate", "spectrum", "calibrate"):
+        out = tmp_path / command
+        assert run(command, data, "--penalty", mode, flag, value, "--out", out) == 2
+        assert not out.exists()
+    study_flag = "--bootstrap-reps" if flag == "--reps" else flag
+    out = tmp_path / "study.csv"
+    assert run("rank-study", "--n", 2, "--m", 10, "--d", "1,2", "--penalty", mode,
+               study_flag, value, "--out", out) == 2
+    assert not out.exists()
+    assert calls == []
+
+
 def test_error_study_csv_and_empty_sweep(tmp_path):
     out = tmp_path / "err.csv"
     code = run("error-study", "--n", 2, "--m", "20,40", "--d", "1,2", "--reps", 3,

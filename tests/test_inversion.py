@@ -30,8 +30,9 @@ def test_invert_hand_example_z_eigenstate():
     # divided by 3^0 * 2
     freqs = measurement.exact_frequencies(np.diag([1.0, 0.0]).astype(complex))
     coeffs = inversion.invert_coefficients(freqs)
-    assert abs(coeffs[pauli.label_index("z")] - 0.5) < 1e-12
-    assert abs(coeffs[pauli.label_index("x")]) < 1e-12
+    labels = list(pauli.all_labels(1))
+    assert abs(coeffs[labels.index("z")] - 0.5) < 1e-12
+    assert abs(coeffs[labels.index("x")]) < 1e-12
 
 
 def test_linear_estimator_round_trip_ghz():
@@ -65,6 +66,26 @@ def test_linear_estimator_unbiased_monte_carlo():
     se_im = mats.imag.std(axis=0, ddof=1) / math.sqrt(reps)
     assert (np.abs(mean.real - rho.real) <= 5 * se_re + 1e-9).all()
     assert (np.abs(mean.imag - rho.imag) <= 5 * se_im + 1e-9).all()
+
+
+@pytest.mark.parametrize("perm", [(1, 0), (2, 0, 1), (1, 3, 0, 2)])
+def test_qubit_permutation_permutes_the_estimate(perm):
+    # Relabelling the qubits of the data relabels the qubits of the estimate:
+    # permute the setting and outcome axes of the counts, and the row and
+    # column qubit axes of the estimate, by the same transpose.
+    n = len(perm)
+    rho = random_density(2**n, np.random.default_rng(70 + n))
+    ds = measurement.simulate_dataset(rho, 30, 71 + n)
+    counts = ds.counts.reshape((3,) * n + (2,) * n)
+    counts = counts.transpose([*perm, *(n + p for p in perm)]).reshape(3**n, 2**n)
+    permuted = measurement.Dataset(n=n, m=ds.m, counts=counts)
+
+    est = inversion.linear_estimator(measurement.empirical_frequencies(ds)).matrix
+    est = est.reshape((2,) * (2 * n)).transpose([*perm, *(n + p for p in perm)])
+    est_of_permuted = inversion.linear_estimator(
+        measurement.empirical_frequencies(permuted)
+    ).matrix
+    assert np.abs(est_of_permuted - est.reshape(2**n, 2**n)).max() < 1e-12
 
 
 def test_variance_bound_examples():

@@ -5,65 +5,47 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_density
+from conftest import ReferenceTomography, random_density
 from qtomo import measurement, pauli, states
 from qtomo.errors import FormatError
 
 
+def _probability(rho: np.ndarray, setting: str, outcome: str) -> float:
+    """Cell (setting, outcome) of the probability table."""
+    table = measurement.probability_table(rho)
+    return table[pauli.setting_index(setting), pauli.outcome_index(outcome)]
+
+
 def test_outcome_probability_maximally_mixed():
     for n in (1, 2):
-        rho = states.maximally_mixed(n)
-        for a in pauli.all_settings(n):
-            for r in pauli.all_outcomes(n):
-                for path in ("trace", "pauli"):
-                    p = measurement.outcome_probability(rho, a, r, path=path)
-                    assert abs(p - 1.0 / 2**n) < 1e-12
+        table = measurement.probability_table(states.maximally_mixed(n))
+        assert np.abs(table - 1.0 / 2**n).max() < 1e-12
 
 
 def test_outcome_probability_z_eigenstate():
     rho = np.diag([1.0, 0.0]).astype(complex)
-    assert abs(measurement.outcome_probability(rho, "z", "+") - 1.0) < 1e-12
-    assert abs(measurement.outcome_probability(rho, "z", "-")) < 1e-12
-    assert abs(measurement.outcome_probability(rho, "x", "+") - 0.5) < 1e-12
-    assert abs(measurement.outcome_probability(rho, "x", "-") - 0.5) < 1e-12
+    assert abs(_probability(rho, "z", "+") - 1.0) < 1e-12
+    assert abs(_probability(rho, "z", "-")) < 1e-12
+    assert abs(_probability(rho, "x", "+") - 0.5) < 1e-12
+    assert abs(_probability(rho, "x", "-") - 0.5) < 1e-12
 
 
 def test_outcome_probability_ghz_zz():
     rho = states.ghz(2)
     expected = {"++": 0.5, "--": 0.5, "+-": 0.0, "-+": 0.0}
     for r, p in expected.items():
-        assert abs(measurement.outcome_probability(rho, "zz", r) - p) < 1e-12
-
-
-def test_outcome_probability_errors():
-    rho = states.maximally_mixed(2)
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        measurement.outcome_probability(rho, "z", "++")
-    with pytest.raises(ValueError, match="unknown path"):
-        measurement.outcome_probability(rho, "zz", "++", path="magic")
-
-
-@pytest.mark.parametrize("n", [1, 2])
-def test_paths_agree_on_random_states(n):
-    rng = np.random.default_rng(31 + n)
-    for _ in range(5):
-        rho = random_density(2**n, rng)
-        for a in pauli.all_settings(n):
-            for r in pauli.all_outcomes(n):
-                pt = measurement.outcome_probability(rho, a, r, path="trace")
-                pf = measurement.outcome_probability(rho, a, r, path="pauli")
-                assert abs(pt - pf) < 1e-12
+        assert abs(_probability(rho, "zz", r) - p) < 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_probability_table_matches_trace_oracle(n):
+    # Tr(rho P_r^a) from Kronecker-product projectors, for 5 random states
     rng = np.random.default_rng(37 + n)
-    rho = random_density(2**n, rng)
-    table = measurement.probability_table(rho)
-    for s, a in enumerate(pauli.all_settings(n)):
-        for o, r in enumerate(pauli.all_outcomes(n)):
-            direct = measurement.outcome_probability(rho, a, r, path="trace")
-            assert abs(table[s, o] - direct) < 1e-12
+    ref = ReferenceTomography(n)
+    for _ in range(5):
+        rho = random_density(2**n, rng)
+        table = measurement.probability_table(rho)
+        assert np.abs(table - ref.probabilities(rho)).max() < 1e-12
 
 
 def test_probability_table_examples():

@@ -1,8 +1,28 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from qtomo import pauli
+from conftest import ReferenceTomography
+from qtomo import _kernels, pauli, states
 from qtomo.errors import DimensionLimitError
+
+
+def _unit(b: str) -> np.ndarray:
+    """Coefficient vector with a single 1 at label b."""
+    unit = np.zeros(4 ** len(b))
+    unit[list(pauli.all_labels(len(b))).index(b)] = 1.0
+    return unit
+
+
+def _design_entry(r: str, a: str, b: str) -> float:
+    """Entry (a, r) of the kernel's design column for label b."""
+    table = _kernels.table_from_coeffs(_unit(b), len(b))
+    return table[pauli.setting_index(a), pauli.outcome_index(r)]
+
+
+def _pauli_matrix(b: str) -> np.ndarray:
+    return states.pauli_assemble(_unit(b))
 
 
 def test_degree_examples():
@@ -13,97 +33,73 @@ def test_degree_examples():
 
 
 def test_design_entry_all_identity_is_one():
-    assert pauli.design_entry("-+", "xz", "ii") == 1
-    assert pauli.design_entry("+", "y", "i") == 1
+    assert _design_entry("-+", "xz", "ii") == 1
+    assert _design_entry("+", "y", "i") == 1
 
 
 def test_design_entry_examples():
-    assert pauli.design_entry("+", "x", "y") == 0
-    assert pauli.design_entry("--", "xz", "xz") == 1
-    assert pauli.design_entry("-+", "xz", "xz") == -1
+    assert _design_entry("+", "x", "y") == 0
+    assert _design_entry("--", "xz", "xz") == 1
+    assert _design_entry("-+", "xz", "xz") == -1
 
 
 def test_design_entry_range():
     for a in pauli.all_settings(2):
         for r in pauli.all_outcomes(2):
             for b in pauli.all_labels(2):
-                assert pauli.design_entry(r, a, b) in (-1, 0, 1)
-
-
-def test_design_entry_length_mismatch():
-    with pytest.raises(ValueError, match="length mismatch"):
-        pauli.design_entry("+", "xz", "xz")
-    with pytest.raises(ValueError, match="length mismatch"):
-        pauli.design_entry("++", "x", "xz")
+                assert _design_entry(r, a, b) in (-1, 0, 1)
 
 
 def test_pauli_matrix_examples():
-    assert np.array_equal(pauli.pauli_matrix("z"), np.diag([1.0, -1.0]).astype(complex))
-    assert np.array_equal(pauli.pauli_matrix("i"), np.eye(2, dtype=complex))
-    assert np.array_equal(pauli.pauli_matrix("xx"), np.fliplr(np.eye(4)).astype(complex))
+    assert np.array_equal(_pauli_matrix("z"), np.diag([1.0, -1.0]).astype(complex))
+    assert np.array_equal(_pauli_matrix("i"), np.eye(2, dtype=complex))
+    assert np.array_equal(_pauli_matrix("xx"), np.fliplr(np.eye(4)).astype(complex))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_pauli_matrix_hermitian_involutory_traceless(n):
     dim = 2**n
     for b in pauli.all_labels(n):
-        s = pauli.pauli_matrix(b)
+        s = _pauli_matrix(b)
         assert np.allclose(s, s.conj().T, atol=1e-12)
         assert np.allclose(s @ s, np.eye(dim), atol=1e-12)
         expected_trace = dim if b == "i" * n else 0.0
         assert abs(s.trace() - expected_trace) < 1e-12
 
 
-def test_projector_examples():
-    assert np.allclose(pauli.projector("z", "+"), np.diag([1.0, 0.0]), atol=1e-15)
-    assert np.allclose(pauli.projector("x", "+"), 0.5 * np.ones((2, 2)), atol=1e-15)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_projector_idempotent_and_complete(n):
-    dim = 2**n
-    for a in pauli.all_settings(n):
-        total = np.zeros((dim, dim), dtype=complex)
-        for r in pauli.all_outcomes(n):
-            p = pauli.projector(a, r)
-            assert np.allclose(p @ p, p, atol=1e-12)
-            assert abs(p.trace() - 1.0) < 1e-12
-            total += p
-        assert np.allclose(total, np.eye(dim), atol=1e-12)
-
-
 def test_single_qubit_trace_identities():
+    # Row (t, s) of the kernel's single-qubit design holds Tr(sigma_b P_s^t):
     # Tr(I P_s^t) = 1 and Tr(sigma_t' P_s^t) = s * delta(t, t')
-    for t in "xyz":
-        for sign, r in ((1.0, "+"), (-1.0, "-")):
-            proj = pauli.projector(t, r)
-            assert abs(np.trace(proj) - 1.0) < 1e-12
-            for t2 in "xyz":
-                expected = sign if t2 == t else 0.0
-                assert abs(np.trace(pauli.SIGMA[t2] @ proj).real - expected) < 1e-12
+    ref = ReferenceTomography(1)
+    for row, (t, r) in enumerate(itertools.product("xyz", "-+")):
+        sign = 1.0 if r == "+" else -1.0
+        expected = [1.0] + [sign if t2 == t else 0.0 for t2 in "xyz"]
+        assert np.array_equal(_kernels.E[row], expected)
+        traces = [np.trace(s @ ref.projectors[row]) for s in ref.paulis]
+        assert np.abs(np.array(traces) - expected).max() < 1e-12
 
 
 def test_enumeration_order():
     assert list(pauli.all_labels(1)) == ["i", "x", "y", "z"]
-    settings = list(pauli.all_settings(2))
-    assert len(settings) == 9
-    assert settings[0] == "xx" and settings[-1] == "zz"
     assert list(pauli.all_outcomes(2)) == ["--", "-+", "+-", "++"]
+    for n in (1, 2, 3):
+        for enumerate_n, alphabet in (
+            (pauli.all_labels, "ixyz"),
+            (pauli.all_settings, "xyz"),
+            (pauli.all_outcomes, "-+"),
+        ):
+            expected = ["".join(t) for t in itertools.product(alphabet, repeat=n)]
+            assert list(enumerate_n(n)) == expected
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_enumeration_unique_and_indexable(n):
-    labels = list(pauli.all_labels(n))
-    assert len(set(labels)) == 4**n
-    for i, b in enumerate(labels):
-        assert pauli.label_index(b) == i
-        assert pauli.label_at(n, i) == b
+    assert len(set(pauli.all_labels(n))) == 4**n
     for i, a in enumerate(pauli.all_settings(n)):
         assert pauli.setting_index(a) == i
         assert pauli.setting_at(n, i) == a
     for i, r in enumerate(pauli.all_outcomes(n)):
         assert pauli.outcome_index(r) == i
-        assert pauli.outcome_at(n, i) == r
 
 
 def test_label_degrees_matches_degree():
@@ -114,35 +110,15 @@ def test_label_degrees_matches_degree():
 
 
 def test_gram_entry_examples():
-    assert pauli.gram_entry("x", "x") == 2
-    assert pauli.gram_entry("i", "i") == 6
-    assert pauli.gram_entry("xi", "xz") == 0
+    # Gram entry (b1, b2): inner product of the kernel's design columns
+    def gram(b1, b2):
+        n = len(b1)
+        return np.vdot(_kernels.table_from_coeffs(_unit(b1), n),
+                       _kernels.table_from_coeffs(_unit(b2), n))
 
-
-def test_gram_entry_matches_design_matrix():
-    mat = pauli.design_matrix(2)
-    gram = mat.T @ mat
-    labels = list(pauli.all_labels(2))
-    for i, b1 in enumerate(labels):
-        for j, b2 in enumerate(labels):
-            assert pauli.gram_entry(b1, b2) == gram[i, j]
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_gram_diagonal_exhaustive(n):
-    # brute-force design columns straight from the defining product formula
-    labels = list(pauli.all_labels(n))
-    cols = np.array(
-        [
-            [pauli.design_entry(r, a, b) for b in labels]
-            for a in pauli.all_settings(n)
-            for r in pauli.all_outcomes(n)
-        ],
-        dtype=np.int64,
-    )
-    gram = cols.T @ cols
-    expected = np.diag(3 ** pauli.label_degrees(n) * 2**n)
-    assert np.array_equal(gram, expected)
+    assert gram("x", "x") == 2
+    assert gram("i", "i") == 6
+    assert gram("xi", "xz") == 0
 
 
 def test_validation_rejects_bad_characters():
@@ -159,10 +135,6 @@ def test_dimension_limit():
         pauli.check_qubits(13)
     with pytest.raises(ValueError):
         pauli.check_qubits(0)
-    with pytest.raises(ValueError):
-        pauli.gram_entry("x" * 7, "x" * 7)
-    with pytest.raises(ValueError):
-        pauli.design_matrix(3)
 
 
 def test_dimension_limit_configurable(monkeypatch):

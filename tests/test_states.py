@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_density, random_hermitian
+from conftest import ReferenceTomography, random_density, random_hermitian
 from qtomo import pauli, states
 from qtomo.errors import FormatError
 
@@ -29,17 +29,19 @@ def test_expand_matches_trace_oracle(n):
     rng = np.random.default_rng(20 + n)
     h = random_hermitian(2**n, rng)
     c = states.pauli_expand(h)
-    for i, b in enumerate(pauli.all_labels(n)):
-        direct = np.trace(h @ pauli.pauli_matrix(b)).real / 2**n
+    ref = ReferenceTomography(n)
+    for i in range(4**n):
+        direct = np.trace(h @ ref.paulis[i]).real / 2**n
         assert abs(c[i] - direct) < 1e-10
 
 
 def test_expand_of_pauli_matrices_hits_unit_vectors():
     for n in (1, 2):
-        for b in pauli.all_labels(n):
-            c = states.pauli_expand(pauli.pauli_matrix(b))
+        ref = ReferenceTomography(n)
+        for i in range(4**n):
+            c = states.pauli_expand(ref.paulis[i])
             expected = np.zeros(4**n)
-            expected[pauli.label_index(b)] = 1.0
+            expected[i] = 1.0
             assert np.allclose(c, expected, atol=1e-12)
 
 
