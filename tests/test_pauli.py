@@ -15,10 +15,13 @@ def _unit(b: str) -> np.ndarray:
     return unit
 
 
+def _design_column(b: str) -> np.ndarray:
+    """The kernel's design column for label b, as a (3^n, 2^n) table."""
+    return _kernels.table_from_coeffs(_unit(b), len(b))
+
+
 def _design_entry(r: str, a: str, b: str) -> float:
-    """Entry (a, r) of the kernel's design column for label b."""
-    table = _kernels.table_from_coeffs(_unit(b), len(b))
-    return table[pauli.setting_index(a), pauli.outcome_index(r)]
+    return _design_column(b)[pauli.setting_index(a), pauli.outcome_index(r)]
 
 
 def _pauli_matrix(b: str) -> np.ndarray:
@@ -111,14 +114,9 @@ def test_label_degrees_matches_degree():
 
 def test_gram_entry_examples():
     # Gram entry (b1, b2): inner product of the kernel's design columns
-    def gram(b1, b2):
-        n = len(b1)
-        return np.vdot(_kernels.table_from_coeffs(_unit(b1), n),
-                       _kernels.table_from_coeffs(_unit(b2), n))
-
-    assert gram("x", "x") == 2
-    assert gram("i", "i") == 6
-    assert gram("xi", "xz") == 0
+    assert np.vdot(_design_column("x"), _design_column("x")) == 2
+    assert np.vdot(_design_column("i"), _design_column("i")) == 6
+    assert np.vdot(_design_column("xi"), _design_column("xz")) == 0
 
 
 def test_validation_rejects_bad_characters():
