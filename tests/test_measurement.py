@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import ReferenceTomography, random_density
-from qtomo import measurement, pauli, states
+from qtomo import _kernels, measurement, pauli, states
 from qtomo.errors import FormatError
 
 
@@ -35,6 +35,21 @@ def test_outcome_probability_ghz_zz():
     expected = {"++": 0.5, "--": 0.5, "+-": 0.0, "-+": 0.0}
     for r, p in expected.items():
         assert abs(_probability(rho, "zz", r) - p) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_paths_agree_on_random_states(n):
+    # the Pauli route (coefficients through the design, by the kernel and by
+    # the reference's dense matrix) against the trace route Tr(rho P_r^a)
+    rng = np.random.default_rng(31 + n)
+    ref = ReferenceTomography(n)
+    for _ in range(5):
+        rho = random_density(2**n, rng)
+        coeffs = states.pauli_expand(rho)
+        traces = ref.probabilities(rho)
+        dense = (ref.design @ coeffs).reshape(3**n, 2**n)
+        assert np.abs(_kernels.table_from_coeffs(coeffs, n) - traces).max() < 1e-12
+        assert np.abs(dense - traces).max() < 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -119,6 +119,19 @@ def test_gram_entry_examples():
     assert np.vdot(_design_column("xi"), _design_column("xz")) == 0
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_gram_diagonal_exhaustive(n):
+    # brute-force design columns Tr(sigma_b P_r^a) from Kronecker products,
+    # and the kernel's design columns, both give the diagonal Gram matrix
+    cols = ReferenceTomography(n).design
+    expected = np.diag(3.0 ** pauli.label_degrees(n) * 2**n)
+    assert np.abs(cols.T @ cols - expected).max() < 1e-9
+    kernel_cols = np.stack(
+        [_design_column(b).reshape(-1) for b in pauli.all_labels(n)], axis=1
+    )
+    assert np.array_equal(kernel_cols.T @ kernel_cols, expected)
+
+
 def test_validation_rejects_bad_characters():
     with pytest.raises(ValueError):
         pauli.validate_label("ixq")
