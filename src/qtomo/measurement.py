@@ -7,10 +7,10 @@ labels b of the state's Pauli coefficient times the design entry
 Tr(sigma_b P_r^a), which is what the table kernels evaluate.
 
 A ``Dataset`` records, for each of the 3^n settings, the outcome counts of
-``m`` independent repetitions. Sampling draws one multinomial per setting
-from an RNG stream derived from (seed, setting index), so results do not
-depend on iteration order or scheduling and settings may be processed
-concurrently.
+``m`` independent repetitions. Sampling draws the whole (3^n, 2^n) table
+with one multinomial call from one RNG stream per dataset, built from its
+seed. The same seed gives the same counts; datasets with their own seeds
+may be drawn concurrently or in any order.
 """
 
 from __future__ import annotations
@@ -101,11 +101,10 @@ def exact_frequencies(rho: np.ndarray) -> EmpiricalFrequencies:
 def simulate_dataset(rho: np.ndarray, m: int, seed) -> Dataset:
     """Draw m outcomes for each of the 3^n settings from the exact law.
 
-    ``seed`` is an integer or a numpy SeedSequence; each setting samples
-    from its own stream spawned from it, so the result is deterministic and
-    independent of setting iteration order. Probabilities within 1e-12 of
-    [0, 1] are clipped; larger violations indicate a non-physical input and
-    raise.
+    ``seed`` is an integer or a numpy SeedSequence; every setting samples
+    from the one stream it seeds, so the same seed gives the same counts.
+    Probabilities within 1e-12 of [0, 1] are clipped; larger violations
+    indicate a non-physical input and raise.
     """
     return _sample_dataset(probability_table(rho), m, seed)
 
@@ -125,13 +124,7 @@ def _sample_dataset(table: np.ndarray, m: int, seed) -> Dataset:
         )
     table = np.clip(table, 0.0, 1.0)
     n = table.shape[1].bit_length() - 1
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = root.spawn(3**n)
-    counts = np.empty((3**n, 2**n), dtype=np.int64)
-    for i, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        p = table[i] / table[i].sum()
-        counts[i] = rng.multinomial(m, p)
+    counts = np.random.default_rng(seed).multinomial(m, table / table.sum(axis=1, keepdims=True))
     return Dataset(n=n, m=m, counts=counts)
 
 

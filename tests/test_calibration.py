@@ -232,3 +232,13 @@ def test_bootstrap_norms_match_per_repetition_simulation(monkeypatch):
         )
         expected.append(states.operator_norm(synth.matrix - sigma))
     assert norms.tolist() == expected
+
+
+def test_bootstrap_norms_do_not_depend_on_the_repetition_count():
+    # one child stream per repetition: the first repetitions of a longer run
+    # are the repetitions of a shorter one, bit for bit
+    ds = measurement.simulate_dataset(states.mixture(3, 2, 0.3), 50, 23)
+    est = inversion.linear_estimator(measurement.empirical_frequencies(ds))
+    short = calibration.bootstrap_norms(est, 50, 3, 29)
+    long = calibration.bootstrap_norms(est, 50, 5, 29)
+    assert short.tolist() == long[:3].tolist()

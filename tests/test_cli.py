@@ -298,8 +298,13 @@ def test_no_command_prints_help(capsys):
 
 def test_ghz_bootstrap_rank_selection(tmp_path):
     # rank-1 state: top singular value sits far above the bootstrap threshold,
-    # the next one right at the noise scale, so selection lands on 1 with an
-    # occasional 2
+    # the next ones at the noise scale, so selection lands on 1, sometimes on
+    # 2 and now and then on 3. Band on the count of k_hat in {1, 2}: the same
+    # path (simulate, then bootstrap with reps = 20, seed = library seed) on
+    # seeds 20-419, disjoint from the 20 below, gave k_hat = 1/2/3 on
+    # 319/69/12 seeds, so 388/400 in {1, 2}. Its one-sided 99% Clopper-Pearson
+    # lower bound is p = 0.944, and P(Binomial(20, 0.944) < 15) = 6.2e-4, so
+    # at least 15 of 20 must land in {1, 2}.
     truth = tmp_path / "ghz.json"
     states.save_state(truth, states.ghz(4))
     k_hats = []
@@ -312,5 +317,6 @@ def test_ghz_bootstrap_rank_selection(tmp_path):
                    "--seed", seed, "--out", out_dir)
         assert code == 0
         k_hats.append(json.loads((out_dir / "fit.json").read_text())["k_hat"])
-    assert all(k in (1, 2) for k in k_hats)
+    assert all(k >= 1 for k in k_hats)
+    assert sum(k in (1, 2) for k in k_hats) >= 15
     assert sum(k == 1 for k in k_hats) >= 12

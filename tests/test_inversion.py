@@ -1,9 +1,10 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
 
-from conftest import random_density, random_hermitian
+from conftest import ReferenceTomography, random_density, random_hermitian
 from qtomo import inversion, measurement, pauli, states
 
 
@@ -66,6 +67,29 @@ def test_linear_estimator_unbiased_monte_carlo():
     se_im = mats.imag.std(axis=0, ddof=1) / math.sqrt(reps)
     assert (np.abs(mean.real - rho.real) <= 5 * se_re + 1e-9).all()
     assert (np.abs(mean.imag - rho.imag) <= 5 * se_im + 1e-9).all()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_mean_coefficients_within_the_variance_bound_of_the_truth(n):
+    # Unbiasedness against the paper's bound: the mean of R inverted
+    # coefficients has variance at most variance_bound(b, m) / R, so each
+    # lies within z sqrt(variance_bound(b, m) / R) of Tr(rho sigma_b) / 2^n,
+    # with z Bonferroni-corrected over the 4^n coefficients at a family error
+    # of 1e-3. R = 400 lets the non-identity coefficients alone catch an
+    # inversion scaled by 1.05.
+    R, m, alpha = 400, 100, 1e-3
+    ref = ReferenceTomography(n)
+    rho = random_density(2**n, np.random.default_rng(80 + n))
+    truth = np.einsum("bij,ji->b", ref.paulis, rho).real / 2**n
+    mean = np.mean([
+        inversion.invert_coefficients(measurement.empirical_frequencies(
+            measurement.simulate_dataset(rho, m, np.random.SeedSequence(90 + n, spawn_key=(r,)))
+        ))
+        for r in range(R)
+    ], axis=0)
+    bound = np.array([inversion.variance_bound(b, m) for b in pauli.all_labels(n)])
+    z = statistics.NormalDist().inv_cdf(1 - alpha / (2 * 4**n))
+    assert (np.abs(mean - truth) <= z * np.sqrt(bound / R)).all()
 
 
 @pytest.mark.parametrize("perm", [(1, 0), (2, 0, 1), (1, 3, 0, 2)])

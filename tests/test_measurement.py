@@ -1,5 +1,7 @@
 import json
+import math
 import random
+import statistics
 import tracemalloc
 
 import numpy as np
@@ -122,6 +124,36 @@ def test_simulate_converges_to_exact_table():
         freqs = measurement.empirical_frequencies(ds)
         bound = 5.0 * np.sqrt(table * (1.0 - table) / m) + 1e-9
         assert (np.abs(freqs.values - table) <= bound).all()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_sampled_counts_follow_the_reference_binomial_law(n):
+    # Each cell of R independent datasets is Binomial(m, p) with p from the
+    # reference's traces Tr(rho P_r^a). Per cell, the count summed over the
+    # datasets must lie in the normal band of Binomial(R m, p), and the sample
+    # variance in the chi-square band of m p (1 - p) (Wilson-Hilferty
+    # quantiles). Both bands are Bonferroni-corrected over the 6^n cells at a
+    # family error of 1e-3. Mixing with the maximally mixed state keeps
+    # p >= 2^-(n+1), where counts are close enough to normal for the
+    # chi-square band.
+    R, m, alpha = 200, 100, 1e-3
+    rng = np.random.default_rng(50 + n)
+    rho = 0.5 * random_density(2**n, rng) + 0.5 * np.eye(2**n) / 2**n
+    p = ReferenceTomography(n).probabilities(rho)
+    counts = np.array([
+        measurement.simulate_dataset(rho, m, np.random.SeedSequence(60 + n, spawn_key=(r,))).counts
+        for r in range(R)
+    ])
+    z = statistics.NormalDist().inv_cdf(1 - alpha / (2 * p.size))
+    total_sd = np.sqrt(R * m * p * (1 - p))
+    assert (np.abs(counts.sum(axis=0) - R * m * p) <= z * total_sd).all()
+
+    def chi2_quantile(z_score, dof):
+        return dof * (1 - 2 / (9 * dof) + z_score * math.sqrt(2 / (9 * dof))) ** 3
+
+    ratio = (R - 1) * counts.var(axis=0, ddof=1) / (m * p * (1 - p))
+    assert (ratio >= chi2_quantile(-z, R - 1)).all()
+    assert (ratio <= chi2_quantile(z, R - 1)).all()
 
 
 def test_simulate_rejects_non_physical():
