@@ -11,8 +11,8 @@ spectrum), besides a fixed value:
   average the synthetic estimation errors, approximating the oracle value
   on real data.
 
-Bootstrap repetitions use seeds derived per repetition, so they can run in
-any order (or concurrently) with identical results.
+Bootstrap repetition j draws from ``measurement.stream(seed, j)``, so the
+repetitions can run in any order; see the determinism contract there.
 
 ``PenaltyChoice.parse`` reads the one penalty grammar that the command line
 and the studies share, and ``resolve_penalty`` is the one evaluator.
@@ -130,10 +130,9 @@ def bootstrap_norms(
         raise ValueError(f"bootstrap needs reps >= 2, got {reps}")
     sigma = states.nearest_density(est.matrix)
     table = measurement.probability_table(sigma)
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     norms = np.empty(reps)
-    for j, child in enumerate(root.spawn(reps)):
-        ds = measurement._sample_dataset(table, m, child)
+    for j in range(reps):
+        ds = measurement._sample_dataset(table, m, measurement.stream(seed, j))
         synth = inversion.linear_estimator(measurement.empirical_frequencies(ds))
         norms[j] = states.operator_norm(synth.matrix - sigma)
     return norms

@@ -7,10 +7,14 @@ labels b of the state's Pauli coefficient times the design entry
 Tr(sigma_b P_r^a), which is what the table kernels evaluate.
 
 A ``Dataset`` records, for each of the 3^n settings, the outcome counts of
-``m`` independent repetitions. Sampling draws the whole (3^n, 2^n) table
-with one multinomial call from one RNG stream per dataset, built from its
-seed. The same seed gives the same counts; datasets with their own seeds
-may be drawn concurrently or in any order.
+``m`` independent repetitions, drawn with one multinomial call per dataset.
+
+Determinism contract: every draw comes from ``stream(seed, *key)``, a pure
+function of the user seed and an integer key naming the draw, so the same
+(seed, key) gives the same numbers in any order or process, however often.
+Keys: () for ``simulate_dataset``; (j,) for bootstrap repetition j;
+(0, d, rep) and (1, d, rep) for the dataset and bootstrap of rank-study
+point (d, rep); (0, d, m, rep) for the dataset of error-study point (d, m, rep).
 """
 
 from __future__ import annotations
@@ -98,11 +102,24 @@ def exact_frequencies(rho: np.ndarray) -> EmpiricalFrequencies:
     return EmpiricalFrequencies(n=n, values=probability_table(rho))
 
 
+def stream(seed, *key: int) -> np.random.SeedSequence:
+    """Stream ``key`` under ``seed``: ``SeedSequence(seed, spawn_key=key)``.
+
+    A SeedSequence seed keeps its entropy and pool size and gets ``key``
+    appended to its spawn key. Nothing is mutated, so a repeated call gives
+    the same stream; ``stream(s, j)`` is child j of a fresh ``s.spawn``.
+    """
+    if isinstance(seed, np.random.SeedSequence):
+        return np.random.SeedSequence(
+            seed.entropy, spawn_key=(*seed.spawn_key, *key), pool_size=seed.pool_size
+        )
+    return np.random.SeedSequence(seed, spawn_key=key)
+
+
 def simulate_dataset(rho: np.ndarray, m: int, seed) -> Dataset:
     """Draw m outcomes for each of the 3^n settings from the exact law.
 
-    ``seed`` is an integer or a numpy SeedSequence; every setting samples
-    from the one stream it seeds, so the same seed gives the same counts.
+    ``seed`` (an int or a SeedSequence) is the one stream all settings use.
     Probabilities within 1e-12 of [0, 1] are clipped; larger violations
     indicate a non-physical input and raise.
     """
@@ -140,22 +157,11 @@ def empirical_frequencies(dataset: Dataset) -> EmpiricalFrequencies:
 # {"n": int, "m": int,
 #  "counts": [{"setting": "xzyx", "outcome": "+--+", "count": int}, ...]}
 # Omitted (setting, outcome) pairs are zero; duplicates are an error; each
-# setting's counts must sum to m. save_dataset writes the bytes of
-# json.dump(dataset_to_dict(ds), fh, indent=2, sort_keys=True) plus a newline;
+# setting's counts must sum to m. save_dataset lists the nonzero cells in
+# (setting, outcome) order and writes the bytes that json.dump(obj, fh,
+# indent=2, sort_keys=True) plus a newline would write for that object;
 # load_dataset accepts any JSON layout and entry order.
 # ---------------------------------------------------------------------------
-
-
-def dataset_to_dict(dataset: Dataset) -> dict:
-    entries = []
-    settings = list(pauli.all_settings(dataset.n))
-    outcomes = list(pauli.all_outcomes(dataset.n))
-    for s, a in enumerate(settings):
-        for o, r in enumerate(outcomes):
-            c = int(dataset.counts[s, o])
-            if c:
-                entries.append({"setting": a, "outcome": r, "count": c})
-    return {"n": dataset.n, "m": dataset.m, "counts": entries}
 
 
 def dataset_from_dict(obj) -> Dataset:

@@ -4,9 +4,10 @@ For a penalty nu >= 0 the fit minimizes, over Hermitian matrices R,
 ``frobenius(R - estimate)^2 + nu * rank(R)``. Minimizing at fixed rank k is
 the classical best rank-k approximation (top-k spectral triplets), with
 residual equal to the sum of the squared discarded singular values, so the
-whole program reduces to a scan of ``sum_{j>k} s_j^2 + nu k`` over
-k = 0 .. 2^n. The scan's minimizer is also the number of singular values at
-or above sqrt(nu), and both selectors are implemented and kept equivalent.
+whole program reduces to minimizing ``sum_{j>k} s_j^2 + nu k`` over
+k = 0 .. 2^n. Step k adds nu - s_k^2 and the s_k decrease, so the minimizer
+is the number of singular values at or above sqrt(nu), which
+``select_rank_threshold`` counts; a tie s_k = sqrt(nu) takes the larger rank.
 
 The selected matrix is generally still not a state; the fit carries a
 physical version obtained by projecting onto density matrices of rank at
@@ -41,7 +42,7 @@ class SpectralDecomposition:
 
 @dataclass
 class RankPenalizedFit:
-    """Result of the penalized scan.
+    """Result of the penalized fit.
 
     ``objective[k]`` is the penalized residual at rank k for k = 0 .. dim;
     ``estimate`` is the best rank-k_hat approximation of the input and
@@ -57,6 +58,11 @@ class RankPenalizedFit:
     singular_values: np.ndarray
     objective: np.ndarray
     physical_rank: int
+
+
+def _tail_sums(s: np.ndarray) -> np.ndarray:
+    """Entry k is ``sum(s[k:] ** 2)`` for k = 0 .. len(s); the last entry is 0."""
+    return np.append(np.cumsum(s[::-1] ** 2)[::-1], 0.0)
 
 
 def _check_penalty(nu: float) -> None:
@@ -101,25 +107,10 @@ def select_rank_threshold(dec: SpectralDecomposition, nu: float) -> int:
 
 
 def penalized_fit(est, nu: float) -> RankPenalizedFit:
-    """Scan the penalized objective over all ranks and build both estimates.
-
-    Ties in the objective are resolved toward the larger rank (non-strict
-    comparison while scanning upward), which keeps the scan minimizer
-    identical to ``select_rank_threshold`` including exact-tie cases.
-    """
-    _check_penalty(nu)
+    """Select the rank with ``select_rank_threshold`` and build both estimates."""
     dec = spectral(est)
-    lam2 = dec.singular_values**2
-    dim = lam2.size
-    residual = np.empty(dim + 1)
-    residual[dim] = 0.0
-    # residual[k] = sum of squared singular values beyond k
-    residual[:dim] = np.cumsum(lam2[::-1])[::-1]
-    objective = residual + nu * np.arange(dim + 1)
-    k_hat = 0
-    for k in range(1, dim + 1):
-        if objective[k] <= objective[k_hat]:
-            k_hat = k
+    k_hat = select_rank_threshold(dec, nu)
+    objective = _tail_sums(dec.singular_values) + nu * np.arange(dec.singular_values.size + 1)
     estimate = truncate(dec, k_hat)
     physical_rank = max(k_hat, 1)
     physical = states.nearest_density(estimate, max_rank=physical_rank)
@@ -138,22 +129,16 @@ def penalized_error_bound(rho: np.ndarray, nu: float, theta: float) -> float:
     """Guaranteed squared-Frobenius error of the penalized fit.
 
     Valid whenever nu >= (1 + theta) * op-norm(estimate - rho)^2; evaluates
-    ``min over k of c^2 sum_{j>k} lam_j^2 + 2 c nu k`` with c = 1 + 2/theta
-    on the true spectrum. For a rank-d state the minimum is at most
-    2 c nu d.
+    ``min over k of c^2 sum_{j>k} s_j^2 + 2 c nu k`` with c = 1 + 2/theta
+    on the singular values s of ``rho`` (its eigenvalues ordered by absolute
+    value). For a rank-d state the minimum is at most 2 c nu d.
     """
     if theta <= 0:
         raise ValueError(f"theta={theta} must be > 0")
     _check_penalty(nu)
-    matrix = states.require_hermitian(rho)
-    lam = np.sort(np.linalg.eigvalsh(matrix))[::-1]
-    lam2 = lam**2
-    dim = lam2.size
-    residual = np.empty(dim + 1)
-    residual[dim] = 0.0
-    residual[:dim] = np.cumsum(lam2[::-1])[::-1]
+    s = spectral(rho).singular_values
     c = 1.0 + 2.0 / theta
-    values = c**2 * residual + 2.0 * c * nu * np.arange(dim + 1)
+    values = c**2 * _tail_sums(s) + 2.0 * c * nu * np.arange(s.size + 1)
     return float(values.min())
 
 

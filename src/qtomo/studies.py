@@ -1,7 +1,7 @@
 """Monte-Carlo studies behind the CSV outputs of the command line.
 
-Every study derives one RNG stream per (parameter point, repetition) from
-the user seed, so records are reproducible and independent of execution
+Every (parameter point, repetition) draws from its own ``measurement.stream``
+of the user seed, so records are reproducible and independent of execution
 order; repetitions could run concurrently without changing any output.
 Within the rank study all penalty modes are evaluated on the same simulated
 dataset, so mode comparisons are paired.
@@ -32,14 +32,6 @@ class StudyRecord:
     op_error: float
     frob_error: float
     runtime: float
-
-
-def _dataset_stream(seed: int, *key: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(seed, spawn_key=(0, *key))
-
-
-def _bootstrap_stream(seed: int, *key: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(seed, spawn_key=(1, *key))
 
 
 def rank_study(
@@ -78,7 +70,7 @@ def rank_study(
         rho = states.diag_state(n, d)
         for rep in range(reps):
             t0 = time.perf_counter()
-            ds = measurement.simulate_dataset(rho, m, _dataset_stream(seed, d, rep))
+            ds = measurement.simulate_dataset(rho, m, measurement.stream(seed, 0, d, rep))
             est = inversion.linear_estimator(measurement.empirical_frequencies(ds))
             dec = rankpen.spectral(est)
             runtime = time.perf_counter() - t0
@@ -87,7 +79,7 @@ def rank_study(
             frob_error = states.frobenius_norm(diff)
             for mode, choice in choices:
                 nu, _details = calibration.resolve_penalty(
-                    choice, est, m, _bootstrap_stream(seed, d, rep), rho_true=rho
+                    choice, est, m, measurement.stream(seed, 1, d, rep), rho_true=rho
                 )
                 k_hat = rankpen.select_rank_threshold(dec, nu)
                 records.append(
@@ -131,7 +123,7 @@ def error_study(
             for rep in range(reps):
                 t0 = time.perf_counter()
                 ds = measurement.simulate_dataset(
-                    rho, m, _dataset_stream(seed, d, m, rep)
+                    rho, m, measurement.stream(seed, 0, d, m, rep)
                 )
                 est = inversion.linear_estimator(
                     measurement.empirical_frequencies(ds)

@@ -15,6 +15,32 @@ def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) 
     return rho / rho.trace().real
 
 
+def dataset_to_dict(dataset) -> dict:
+    """The documented JSON object of a dataset: its nonzero cells in row order."""
+    n = dataset.n
+    cells = itertools.product(itertools.product("xyz", repeat=n), itertools.product("-+", repeat=n))
+    entries = [
+        {"setting": "".join(a), "outcome": "".join(r), "count": int(c)}
+        for (a, r), c in zip(cells, dataset.counts.ravel())
+        if c
+    ]
+    return {"n": n, "m": dataset.m, "counts": entries}
+
+
+def reference_scan_rank(h: np.ndarray, nu: float) -> int:
+    """Minimizer over k of sum_{j>k} s_j^2 + nu k, scanned upward, ties to the larger k.
+
+    s are the singular values of the Hermitian ``h`` from its own eigvalsh.
+    """
+    s2 = np.sort(np.abs(np.linalg.eigvalsh(h)))[::-1] ** 2
+    objective = [float(s2[k:].sum()) + nu * k for k in range(s2.size + 1)]
+    k_hat = 0
+    for k in range(1, s2.size + 1):
+        if objective[k] <= objective[k_hat]:
+            k_hat = k
+    return k_hat
+
+
 # ---------------------------------------------------------------------------
 # Independent reference for the measurement model and the linear estimator.
 #

@@ -62,6 +62,15 @@ def test_nu_bootstrap_deterministic():
         calibration.nu_bootstrap(est, 60, 1, 123)
 
 
+def test_nu_bootstrap_repeats_for_one_seed_sequence_object():
+    ds = measurement.simulate_dataset(states.diag_state(2, 2), 100, 5)
+    est = inversion.linear_estimator(measurement.empirical_frequencies(ds))
+    ss = np.random.SeedSequence(6)
+    first = calibration.nu_bootstrap(est, 100, 5, ss)
+    assert calibration.nu_bootstrap(est, 100, 5, ss) == first
+    assert calibration.nu_bootstrap(est, 100, 5, np.random.SeedSequence(6)) == first
+
+
 def test_nu_bootstrap_vanishes_with_many_repetitions():
     est = _estimate_of(states.maximally_mixed(1))
     small_m = calibration.nu_bootstrap(est, 100, 10, 3)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import dataset_to_dict
 from qtomo import measurement, states
 from qtomo.cli import main
 
@@ -20,7 +21,7 @@ def test_simulate_writes_dataset_and_summary(tmp_path, capsys):
     ds = measurement.load_dataset(out)
     assert ds.n == 2 and ds.m == 50
     assert (ds.counts.sum(axis=1) == 50).all()
-    assert len(measurement.dataset_to_dict(ds)["counts"]) >= 9
+    assert len(dataset_to_dict(ds)["counts"]) >= 9
 
 
 def test_simulate_deterministic_bytes(tmp_path):

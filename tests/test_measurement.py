@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import ReferenceTomography, random_density
+from conftest import ReferenceTomography, dataset_to_dict, random_density
 from qtomo import _kernels, measurement, pauli, states
 from qtomo.errors import FormatError
 
@@ -100,6 +100,28 @@ def test_simulate_seed_determinism():
     assert not np.array_equal(a.counts, c.counts)
 
 
+def _state_of(ss):
+    return ss.entropy, ss.spawn_key, ss.pool_size, ss.generate_state(4).tolist()
+
+
+def test_stream_extends_the_spawn_key_of_its_seed():
+    for key in [(), (3,), (0, 2, 5), (1, 4, 100, 7)]:
+        assert _state_of(measurement.stream(11, *key)) == _state_of(
+            np.random.SeedSequence(11, spawn_key=key)
+        )
+    root = np.random.SeedSequence(11, spawn_key=(2,), pool_size=8)
+    assert _state_of(measurement.stream(root, 3, 4)) == _state_of(
+        np.random.SeedSequence(11, spawn_key=(2, 3, 4), pool_size=8)
+    )
+    # stateless: stream(root, j) is child j of a fresh spawn, however often asked
+    children = np.random.SeedSequence(11, spawn_key=(2,), pool_size=8).spawn(3)
+    for _ in range(2):
+        assert [_state_of(measurement.stream(root, j)) for j in range(3)] == [
+            _state_of(child) for child in children
+        ]
+    assert root.n_children_spawned == 0
+
+
 def test_simulate_counts_invariant():
     rng = np.random.default_rng(43)
     rho = random_density(4, rng)
@@ -181,7 +203,7 @@ def test_dataset_validation():
 def test_dataset_json_round_trip():
     rng = np.random.default_rng(47)
     ds = measurement.simulate_dataset(random_density(4, rng), 12, 9)
-    back = measurement.dataset_from_dict(measurement.dataset_to_dict(ds))
+    back = measurement.dataset_from_dict(dataset_to_dict(ds))
     assert back.n == ds.n and back.m == ds.m
     assert np.array_equal(back.counts, ds.counts)
 
@@ -255,14 +277,14 @@ def test_saved_bytes_match_indented_json_dump(tmp_path, n):
     for seed, (rho, m) in enumerate(cases):
         ds = measurement.simulate_dataset(rho, m, seed)
         measurement.save_dataset(path, ds)
-        expected = json.dumps(measurement.dataset_to_dict(ds), indent=2, sort_keys=True) + "\n"
+        expected = json.dumps(dataset_to_dict(ds), indent=2, sort_keys=True) + "\n"
         assert path.read_bytes() == expected.encode("utf-8")
 
 
 def test_load_accepts_any_layout_and_entry_order(tmp_path):
     rng = np.random.default_rng(61)
     ds = measurement.simulate_dataset(random_density(8, rng), 20, 4)
-    obj = measurement.dataset_to_dict(ds)
+    obj = dataset_to_dict(ds)
     random.Random(61).shuffle(obj["counts"])
     path = tmp_path / "data.json"
     path.write_text(json.dumps(obj, separators=(",", ":")))

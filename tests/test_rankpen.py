@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_hermitian
+from conftest import random_hermitian, reference_scan_rank
 from qtomo import inversion, measurement, rankpen, states
 
 
@@ -108,7 +108,19 @@ def test_scan_equals_threshold_on_random_inputs():
         top = dec.singular_values[0]
         for _ in range(5):
             nu = float(rng.uniform(0.0, (1.05 * top) ** 2))
-            assert rankpen.penalized_fit(h, nu).k_hat == rankpen.select_rank_threshold(dec, nu)
+            assert rankpen.penalized_fit(h, nu).k_hat == reference_scan_rank(h, nu)
+
+
+@pytest.mark.parametrize("dim", [4, 8, 16])
+def test_penalized_fit_selects_every_tied_value(dim):
+    # nu = s_k^2 puts s_k exactly on the threshold (sqrt(x * x) == x in
+    # binary floating point), and the rule selects it
+    rng = np.random.default_rng(109 + dim)
+    for _ in range(100):
+        h = random_hermitian(dim, rng)
+        s = rankpen.spectral(h).singular_values
+        for sk in s:
+            assert rankpen.penalized_fit(h, float(sk) ** 2).k_hat == np.count_nonzero(s >= sk)
 
 
 def test_penalized_fit_estimate_rank():
@@ -123,6 +135,17 @@ def test_penalized_error_bound_hand_case():
     # c(theta=2) = 2: values 2.0, 1.04, 0.08, 0.12, 0.16 over k = 0..4
     value = rankpen.penalized_error_bound(states.diag_state(2, 2), 0.01, 2.0)
     assert abs(value - 0.08) < 1e-12
+
+
+def test_penalized_error_bound_orders_a_non_psd_spectrum_by_absolute_value():
+    lam = np.array([0.5, 0.3, -0.4, 0.0])
+    nu, theta = 0.01, 2.0
+    c = 1.0 + 2.0 / theta
+    s2 = np.sort(np.abs(lam))[::-1] ** 2
+    expected = min(c**2 * s2[k:].sum() + 2 * c * nu * k for k in range(5))
+    assert abs(expected - 0.12) < 1e-12
+    value = rankpen.penalized_error_bound(np.diag(lam).astype(complex), nu, theta)
+    assert abs(value - expected) < 1e-12
 
 
 def test_penalized_error_bound_rank_d_form():
