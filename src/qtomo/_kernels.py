@@ -5,7 +5,8 @@ basis label b is a product of single-qubit entries ``E[(a_j, r_j), b_j]``.
 ``E`` below is that 6 x 4 matrix, rows (axis, sign) in the order x-, x+, y-,
 y+, z-, z+ and columns i, x, y, z: 1 in column i, the sign in the measured
 axis's column, 0 elsewhere. Both maps therefore apply one small matrix along
-each qubit axis of a tensor (``_per_qubit``) plus one axis reorder:
+each qubit axis of a tensor (``_per_qubit``, one matrix product per qubit)
+plus one axis reorder:
 
 * ``table_from_coeffs``   Pauli coefficients -> probability table (3^n, 2^n)
 * ``design_adjoint_sums`` probability table  -> per-label design sums (4^n,)
@@ -34,12 +35,14 @@ E = np.array(
 def _per_qubit(matrix: np.ndarray, tensor: np.ndarray, n: int) -> np.ndarray:
     """Apply ``matrix`` along each of the n axes of a (k,)*n tensor.
 
-    Each step contracts the leading axis and appends the new one last, so
-    after n steps the axes are back in order; no step copies its input.
+    Each step is one matrix product: the leading axis, viewed as the rows of
+    a (k, rest) matrix, is contracted and the new axis is appended last, so
+    after n steps the axes are back in order. The transposed view enters the
+    product uncopied, and each product's output is the next step's input.
     """
     for _ in range(n):
-        tensor = np.tensordot(tensor, matrix, axes=(0, 1))
-    return tensor
+        tensor = tensor.reshape(matrix.shape[1], -1).T @ matrix.T
+    return tensor.reshape((matrix.shape[0],) * n)
 
 
 def _interleave_perm(n: int) -> list[int]:

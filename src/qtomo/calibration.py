@@ -122,17 +122,17 @@ def bootstrap_norms(
     """Operator norms of synthetic estimation errors, one per repetition.
 
     Projects the estimate to a physical state, re-simulates ``reps``
-    datasets of the same size from its probability table (computed once),
+    datasets of the same size from its outcome law (built and checked once),
     inverts each, and records the operator norm of (synthetic estimate -
     physical state).
     """
     if reps < 2:
         raise ValueError(f"bootstrap needs reps >= 2, got {reps}")
     sigma = states.nearest_density(est.matrix)
-    table = measurement.probability_table(sigma)
+    law = measurement._outcome_law(measurement.probability_table(sigma), m)
     norms = np.empty(reps)
     for j in range(reps):
-        ds = measurement._sample_dataset(table, m, measurement.stream(seed, j))
+        ds = measurement._draw_dataset(law, m, measurement.stream(seed, j))
         synth = inversion.linear_estimator(measurement.empirical_frequencies(ds))
         norms[j] = states.operator_norm(synth.matrix - sigma)
     return norms
@@ -145,27 +145,31 @@ def nu_bootstrap(est: inversion.LinearEstimate, m: int, reps: int, seed) -> floa
 
 def resolve_penalty(
     choice: PenaltyChoice,
-    est: inversion.LinearEstimate,
+    est: inversion.LinearEstimate | measurement.Dataset,
     m: int,
     seed,
     rho_true: np.ndarray | None = None,
 ) -> tuple[float, dict]:
     """Evaluate a penalty choice; returns (nu, details for the report).
 
-    ``seed`` (an int or a SeedSequence) drives the bootstrap draws and is
-    ignored by the other modes.
+    ``est`` is the linear estimate, or the dataset it is inverted from: only
+    the oracle and bootstrap modes read the estimate, so only they invert a
+    dataset. ``seed`` (an int or a SeedSequence) drives the bootstrap draws
+    and is ignored by the other modes.
     """
     if choice.mode == "fixed":
         return float(choice.value), {}
-    if choice.mode == "oracle":
-        if rho_true is None:
-            raise ConfigError("oracle penalty needs the true state")
-        return nu_oracle(est, rho_true), {}
     if choice.mode == "theory":
         return nu_theory(est.n, m, choice.theta, choice.eps), {
             "theta": choice.theta,
             "eps": choice.eps,
         }
+    if choice.mode == "oracle" and rho_true is None:
+        raise ConfigError("oracle penalty needs the true state")
+    if isinstance(est, measurement.Dataset):
+        est = inversion.linear_estimator(measurement.empirical_frequencies(est))
+    if choice.mode == "oracle":
+        return nu_oracle(est, rho_true), {}
     # bootstrap
     norms = bootstrap_norms(est, m, choice.reps, seed)
     return float(np.mean(norms) ** 2), {

@@ -68,8 +68,8 @@ def _build_state(args) -> np.ndarray:
     return matrix
 
 
-def _estimate_with_penalty(args):
-    """Linear estimate of the dataset file and its penalty: (est, nu, details, mode).
+def _penalty_inputs(args):
+    """The parsed penalty, the oracle's true state (else None) and the dataset.
 
     The penalty and, for oracle, the true-state file are checked before the
     dataset is read.
@@ -82,7 +82,12 @@ def _estimate_with_penalty(args):
         if args.state is None:
             raise ConfigError("--penalty oracle needs --state <state JSON file>")
         rho_true = _load_true_state(args.state)
-    dataset = measurement.load_dataset(args.dataset)
+    return choice, rho_true, measurement.load_dataset(args.dataset)
+
+
+def _estimate_with_penalty(args):
+    """Linear estimate of the dataset file and its penalty: (est, nu, details, mode)."""
+    choice, rho_true, dataset = _penalty_inputs(args)
     est = inversion.linear_estimator(measurement.empirical_frequencies(dataset))
     nu, details = calibration.resolve_penalty(choice, est, dataset.m, args.seed, rho_true)
     return est, nu, details, choice.mode
@@ -181,8 +186,10 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    est, nu, details, mode = _estimate_with_penalty(args)
-    report = calibration.calibration_report_dict(mode, nu, details)
+    # given the dataset, resolve_penalty inverts it only if the mode reads the estimate
+    choice, rho_true, dataset = _penalty_inputs(args)
+    nu, details = calibration.resolve_penalty(choice, dataset, dataset.m, args.seed, rho_true)
+    report = calibration.calibration_report_dict(choice.mode, nu, details)
     if args.out:
         _write_json(args.out, report)
         print(f"wrote {args.out}: nu={nu!r}")

@@ -23,6 +23,9 @@ import numpy as np
 from . import _kernels, pauli, states
 from .measurement import EmpiricalFrequencies
 
+# diag(E.T @ E) of one qubit: 6 for the identity, 2 for x, y and z
+_GRAM_1Q = (_kernels.E**2).sum(axis=0)
+
 
 @dataclass
 class LinearEstimate:
@@ -46,8 +49,19 @@ def invert_coefficients(freqs: EmpiricalFrequencies) -> np.ndarray:
     contribute (the other design entries are zero).
     """
     sums = _kernels.design_adjoint_sums(freqs.values, freqs.n)
-    scale = 3.0 ** pauli.label_degrees(freqs.n) * float(2**freqs.n)
-    return sums / scale
+    return sums / _gram_diagonal(freqs.n)
+
+
+def _gram_diagonal(n: int) -> np.ndarray:
+    """The Gram diagonal 3^degree(b) * 2^n in label order, (4^n,) float64.
+
+    It is the outer product of n copies of the one-qubit diagonal; every
+    entry is an integer below 2^53, so the product is exact.
+    """
+    diag = np.ones(1)
+    for _ in range(n):
+        diag = np.multiply.outer(diag, _GRAM_1Q).ravel()
+    return diag
 
 
 def linear_estimator(freqs: EmpiricalFrequencies) -> LinearEstimate:

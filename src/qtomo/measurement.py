@@ -123,14 +123,15 @@ def simulate_dataset(rho: np.ndarray, m: int, seed) -> Dataset:
     Probabilities within 1e-12 of [0, 1] are clipped; larger violations
     indicate a non-physical input and raise.
     """
-    return _sample_dataset(probability_table(rho), m, seed)
+    return _draw_dataset(_outcome_law(probability_table(rho), m), m, seed)
 
 
-def _sample_dataset(table: np.ndarray, m: int, seed) -> Dataset:
-    """``simulate_dataset`` from a precomputed ``probability_table``.
+def _outcome_law(table: np.ndarray, m: int) -> np.ndarray:
+    """The sampling law of a ``probability_table``: each row clipped and normalized.
 
-    Lets callers that sample one state many times (the bootstrap) compute
-    the table once; the draws are those of ``simulate_dataset``.
+    Checks ``m`` first, then that every probability lies within 1e-12 of
+    [0, 1]. Callers that sample one state many times (the bootstrap) build
+    the law once and pass it to ``_draw_dataset`` for every draw.
     """
     if m < 1:
         raise ValueError(f"repetition count m={m} must be >= 1")
@@ -140,8 +141,13 @@ def _sample_dataset(table: np.ndarray, m: int, seed) -> Dataset:
             f"max {table.max():.3e}); input is not a density matrix"
         )
     table = np.clip(table, 0.0, 1.0)
-    n = table.shape[1].bit_length() - 1
-    counts = np.random.default_rng(seed).multinomial(m, table / table.sum(axis=1, keepdims=True))
+    return table / table.sum(axis=1, keepdims=True)
+
+
+def _draw_dataset(law: np.ndarray, m: int, seed) -> Dataset:
+    """One dataset of m outcomes per setting: a single multinomial draw from ``law``."""
+    n = law.shape[1].bit_length() - 1
+    counts = np.random.default_rng(seed).multinomial(m, law)
     return Dataset(n=n, m=m, counts=counts)
 
 

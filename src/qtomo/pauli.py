@@ -125,13 +125,3 @@ def setting_at(n: int, index: int) -> str:
         index //= 3
     return "".join(reversed(chars))
 
-
-def label_degrees(n: int) -> np.ndarray:
-    """Identity counts d(b) for every label, in enumeration order."""
-    check_qubits(n)
-    idx = np.arange(4**n, dtype=np.int64)
-    deg = np.zeros(4**n, dtype=np.int64)
-    for _ in range(n):
-        deg += idx % 4 == 0
-        idx //= 4
-    return deg

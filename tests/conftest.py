@@ -27,6 +27,11 @@ def dataset_to_dict(dataset) -> dict:
     return {"n": n, "m": dataset.m, "counts": entries}
 
 
+def label_degrees(n: int) -> np.ndarray:
+    """Identity counts d(b) of every label b, in label order ("ixyz", qubit 1 leftmost)."""
+    return np.array([b.count("i") for b in itertools.product("ixyz", repeat=n)], dtype=np.int64)
+
+
 def reference_scan_rank(h: np.ndarray, nu: float) -> int:
     """Minimizer over k of sum_{j>k} s_j^2 + nu k, scanned upward, ties to the larger k.
 

@@ -31,6 +31,7 @@ import pytest
 
 from conftest import (
     ReferenceTomography,
+    label_degrees,
     random_hermitian,
     reference_diag_state,
     reference_scan_rank,
@@ -100,7 +101,7 @@ def test_criterion_02_gram_structure():
             axis=1,
         )
         design = ReferenceTomography(n).design
-        expected = np.diag(3.0 ** pauli.label_degrees(n) * 2**n)
+        expected = np.diag(3.0 ** label_degrees(n) * 2**n)
         worst = max(worst, np.abs(gram - design.T @ design).max(),
                     np.abs(gram - expected).max())
     elapsed = time.perf_counter() - t0

@@ -243,6 +243,18 @@ def test_bootstrap_norms_match_per_repetition_simulation(monkeypatch):
     assert norms.tolist() == expected
 
 
+def test_bootstrap_norms_build_the_outcome_law_once(monkeypatch):
+    ds = measurement.simulate_dataset(states.mixture(2, 1, 0.2), 40, 3)
+    est = inversion.linear_estimator(measurement.empirical_frequencies(ds))
+    calls = []
+    law = measurement._outcome_law
+    monkeypatch.setattr(
+        measurement, "_outcome_law", lambda *a: calls.append(1) or law(*a)
+    )
+    assert calibration.bootstrap_norms(est, 40, 5, 8).shape == (5,)
+    assert len(calls) == 1
+
+
 def test_bootstrap_norms_do_not_depend_on_the_repetition_count():
     # one child stream per repetition: the first repetitions of a longer run
     # are the repetitions of a shorter one, bit for bit

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import dataset_to_dict
-from qtomo import measurement, states
+from qtomo import inversion, measurement, states
 from qtomo.cli import main
 
 
@@ -284,6 +284,32 @@ def test_calibrate_bootstrap_details(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["mode"] == "bootstrap"
     assert len(report["details"]["norms"]) == 5
+
+
+@pytest.mark.parametrize(
+    "penalty, mode, calls",
+    [("theory", "theory", 0), ("fixed:0.05", "fixed", 0), ("0.05", "fixed", 0),
+     ("bootstrap", "bootstrap", 4), ("oracle", "oracle", 1)],
+)
+def test_calibrate_inverts_the_dataset_only_when_the_mode_reads_it(
+    tmp_path, monkeypatch, capsys, penalty, mode, calls
+):
+    data, state = tmp_path / "data.json", tmp_path / "state.json"
+    states.save_state(state, states.mixture(2, 2, 0.3))
+    run("simulate", "--n", 2, "--m", 40, "--state", state, "--seed", 2, "--out", data)
+    freqs = measurement.load_dataset(data).counts / 40
+    of_dataset = []
+    linear_estimator = inversion.linear_estimator
+    monkeypatch.setattr(
+        inversion, "linear_estimator",
+        lambda f: of_dataset.append(np.array_equal(f.values, freqs)) or linear_estimator(f),
+    )
+    capsys.readouterr()
+    code = run("calibrate", data, "--penalty", penalty, "--state", state, "--reps", 3)
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["mode"] == mode
+    # the dataset is inverted once or not at all; bootstrap adds its 3 synthetic datasets
+    assert (sum(of_dataset), len(of_dataset)) == (min(calls, 1), calls)
 
 
 def test_unknown_penalty_exit_2(tmp_path):

@@ -18,6 +18,12 @@ def test_invert_exact_table_reproduces_expansion():
             assert np.abs(coeffs - states.pauli_expand(rho)).max() < 1e-12
 
 
+@pytest.mark.parametrize("n", range(1, 5))
+def test_gram_diagonal_matches_the_reference_design(n):
+    design = ReferenceTomography(n).design
+    assert np.abs(inversion._gram_diagonal(n) - np.diag(design.T @ design)).max() < 1e-9
+
+
 def test_invert_maximally_mixed():
     freqs = measurement.exact_frequencies(states.maximally_mixed(2))
     coeffs = inversion.invert_coefficients(freqs)

@@ -5,6 +5,22 @@ from conftest import ReferenceTomography
 from qtomo import _kernels
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("name", ["E", "E.T"])
+def test_per_qubit_matches_the_kronecker_product(n, name):
+    # the non-square E (6 x 4) and E.T pin the axis order: qubit 1 is the
+    # most significant axis of the input and of the output
+    matrix = _kernels.E if name == "E" else _kernels.E.T
+    rng = np.random.default_rng(40 + n)
+    tensor = rng.normal(size=(matrix.shape[1],) * n)
+    kron = np.ones((1, 1))
+    for _ in range(n):
+        kron = np.kron(kron, matrix)
+    out = _kernels._per_qubit(matrix, tensor, n)
+    assert out.shape == (matrix.shape[0],) * n
+    assert np.abs(out.ravel() - kron @ tensor.ravel()).max() < 1e-12
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_forward_matches_materialized_design(n):
     # the reference design is built from projector traces, rows in

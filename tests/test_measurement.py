@@ -183,6 +183,15 @@ def test_simulate_rejects_non_physical():
         measurement.simulate_dataset(np.diag([1.5, -0.5]).astype(complex), 10, 0)
 
 
+def test_simulate_rejects_a_large_negative_eigenvalue_after_checking_m():
+    # Hermitian with unit trace, eigenvalues 1.8 and -0.8
+    rho = np.array([[0.5, 1.3], [1.3, 0.5]], dtype=complex)
+    with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+        measurement.simulate_dataset(rho, 10, 0)
+    with pytest.raises(ValueError, match="m=0 must be >= 1"):
+        measurement.simulate_dataset(rho, 0, 0)
+
+
 def test_empirical_frequencies_values():
     rho = np.diag([1.0, 0.0]).astype(complex)
     ds = measurement.simulate_dataset(rho, 20, 0)

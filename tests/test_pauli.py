@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import ReferenceTomography
+from conftest import ReferenceTomography, label_degrees
 from qtomo import _kernels, pauli, states
 from qtomo.errors import DimensionLimitError
 
@@ -107,7 +107,7 @@ def test_enumeration_unique_and_indexable(n):
 
 def test_label_degrees_matches_degree():
     for n in (1, 2, 3):
-        degrees = pauli.label_degrees(n)
+        degrees = label_degrees(n)
         for i, b in enumerate(pauli.all_labels(n)):
             assert degrees[i] == pauli.degree(b)
 
@@ -124,7 +124,7 @@ def test_gram_diagonal_exhaustive(n):
     # brute-force design columns Tr(sigma_b P_r^a) from Kronecker products,
     # and the kernel's design columns, both give the diagonal Gram matrix
     cols = ReferenceTomography(n).design
-    expected = np.diag(3.0 ** pauli.label_degrees(n) * 2**n)
+    expected = np.diag(3.0 ** label_degrees(n) * 2**n)
     assert np.abs(cols.T @ cols - expected).max() < 1e-9
     kernel_cols = np.stack(
         [_design_column(b).reshape(-1) for b in pauli.all_labels(n)], axis=1
