@@ -19,7 +19,6 @@ point (d, rep); (0, d, m, rep) for the dataset of error-study point (d, m, rep).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,18 +170,7 @@ def empirical_frequencies(dataset: Dataset) -> EmpiricalFrequencies:
 
 
 def dataset_from_dict(obj) -> Dataset:
-    if not isinstance(obj, dict):
-        raise FormatError("", "expected a JSON object")
-    for key in ("n", "m", "counts"):
-        if key not in obj:
-            raise FormatError(key, "missing key")
-    n = obj["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise FormatError("n", f"expected a positive integer, got {n!r}")
-    try:
-        pauli.check_qubits(n)
-    except ValueError as exc:
-        raise FormatError("n", str(exc)) from exc
+    n = states.require_header(obj, ("n", "m", "counts"))
     m = obj["m"]
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise FormatError("m", f"expected a positive integer, got {m!r}")
@@ -295,9 +283,4 @@ def save_dataset(path, dataset: Dataset) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError("", f"invalid JSON: {exc}") from exc
-    return dataset_from_dict(obj)
+    return dataset_from_dict(states.read_json(path))

@@ -16,6 +16,7 @@ Everything here is a pure function over immutable values.
 
 from __future__ import annotations
 
+import contextlib
 import json
 
 import numpy as np
@@ -245,64 +246,80 @@ def nearest_density(matrix: np.ndarray, max_rank: int | None = None) -> np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# state JSON format: {"n": int, "re": [[...]], "im": [[...]]}, row-major
+# state JSON: {"n": int, "re": [[...]], "im": [[...]]}, row-major, finite entries.
+# save_state writes json.dump(obj, fh, indent=2, sort_keys=True) bytes plus a
+# newline; load_state accepts any layout and integer entries.
 # ---------------------------------------------------------------------------
 
 
-def state_to_dict(matrix: np.ndarray) -> dict:
-    matrix = np.asarray(matrix, dtype=complex)
-    n = qubit_count(matrix)
-    return {
-        "n": n,
-        "re": [[float(x) for x in row] for row in matrix.real],
-        "im": [[float(x) for x in row] for row in matrix.imag],
-    }
+def read_json(path):
+    """The decoded JSON document in a state or dataset file; invalid JSON raises FormatError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FormatError("", f"invalid JSON: {exc}") from exc
 
 
-def _require_square_rows(obj, key: str, dim: int) -> np.ndarray:
-    rows = obj[key]
-    if not isinstance(rows, list) or len(rows) != dim:
-        raise FormatError(key, f"expected a list of {dim} rows")
-    out = np.empty((dim, dim), dtype=float)
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != dim:
-            raise FormatError(f"{key}[{i}]", f"expected a row of {dim} numbers")
-        for k, x in enumerate(row):
-            if not isinstance(x, (int, float)) or isinstance(x, bool):
-                raise FormatError(f"{key}[{i}][{k}]", "expected a number")
-            out[i, k] = float(x)
-    return out
-
-
-def state_from_dict(obj) -> np.ndarray:
+def require_header(obj, keys: tuple) -> int:
+    """The qubit count ``obj["n"]`` of a decoded JSON object that must hold ``keys``."""
     if not isinstance(obj, dict):
         raise FormatError("", "expected a JSON object")
-    for key in ("n", "re", "im"):
+    for key in keys:
         if key not in obj:
             raise FormatError(key, "missing key")
     n = obj["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise FormatError("n", f"expected a positive integer, got {n!r}")
     try:
-        pauli.check_qubits(n)
+        return pauli.check_qubits(n)
     except ValueError as exc:
         raise FormatError("n", str(exc)) from exc
-    dim = 2**n
-    re = _require_square_rows(obj, "re", dim)
-    im = _require_square_rows(obj, "im", dim)
-    return re + 1j * im
+
+
+_FLOAT_BOUND = 2**1024 - 2**970  # an integer converts to a finite float iff |x| < this
+
+
+def _square_rows(rows, key: str, dim: int) -> np.ndarray:
+    if not isinstance(rows, list) or len(rows) != dim:
+        raise FormatError(key, f"expected a list of {dim} rows")
+    # One type-set check per row and one conversion, else name the first bad entry.
+    if all(type(r) is list and len(r) == dim and {int, float} >= set(map(type, r)) for r in rows):
+        with contextlib.suppress(OverflowError):  # an integer beyond the float range
+            if np.isfinite(out := np.array(rows, dtype=float)).all():
+                return out
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != dim:
+            raise FormatError(f"{key}[{i}]", f"expected a row of {dim} numbers")
+        for k, x in enumerate(row):
+            if not isinstance(x, (int, float)) or isinstance(x, bool):
+                raise FormatError(f"{key}[{i}][{k}]", "expected a number")
+            if not (np.isfinite(x) if isinstance(x, float) else abs(x) < _FLOAT_BOUND):
+                raise FormatError(f"{key}[{i}][{k}]", "expected a finite number")
+    return np.array(rows, dtype=float)  # valid, with int, float or list subclasses
+
+
+def state_from_dict(obj) -> np.ndarray:
+    dim = 2 ** require_header(obj, ("n", "re", "im"))
+    out = _square_rows(obj["re"], "re", dim).astype(complex)
+    out.imag = _square_rows(obj["im"], "im", dim)  # re + 1j * im would turn -0.0 into 0.0
+    return out
 
 
 def save_state(path, matrix: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(state_to_dict(matrix), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write a state JSON file; a non-finite entry raises before the file is opened."""
+    matrix = np.asarray(matrix, dtype=complex)
+    n = qubit_count(matrix)
+    if not np.isfinite(matrix).all():
+        raise ValueError(f"entry {np.argwhere(~np.isfinite(matrix))[0].tolist()} is not finite")
+    heads = ('{\n  "im": [\n', f'\n  ],\n  "n": {n},\n  "re": [\n')
+    with open(path, "w", encoding="utf-8") as fh:  # a block at a time: less peak memory
+        for head, part in zip(heads, (matrix.imag, matrix.real)):
+            fh.write(head)
+            fh.write(",\n".join(["    [\n      " + ",\n      ".join(map(repr, r)) + "\n    ]"
+                                 for r in part.tolist()]))
+        fh.write("\n  ]\n}\n")
 
 
 def load_state(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError("", f"invalid JSON: {exc}") from exc
-    return state_from_dict(obj)
+    return state_from_dict(read_json(path))

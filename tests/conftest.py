@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 
@@ -25,6 +26,50 @@ def dataset_to_dict(dataset) -> dict:
         if c
     ]
     return {"n": n, "m": dataset.m, "counts": entries}
+
+
+def state_to_dict(matrix) -> dict:
+    """The documented JSON object of a state matrix: n, then re and im as row lists."""
+    matrix = np.asarray(matrix, dtype=complex)
+    return {
+        "n": matrix.shape[0].bit_length() - 1,
+        "re": [[float(x) for x in row] for row in matrix.real],
+        "im": [[float(x) for x in row] for row in matrix.imag],
+    }
+
+
+class ReferenceFormatError(ValueError):
+    """What the reference state-block checker raises: a path and a message."""
+
+    def __init__(self, path: str, message: str):
+        super().__init__(f"{path}: {message}")
+        self.path = path
+
+
+def reference_square_rows(rows, key: str, dim: int) -> np.ndarray:
+    """A dim x dim state block checked one element at a time, in row-major order.
+
+    Raises at the first bad row or entry: a row that is not a list of dim
+    items, an entry that is not an int or float (bool excluded), or an entry
+    whose float value is not finite (NaN, infinity, an integer beyond the
+    float range).
+    """
+    if not isinstance(rows, list) or len(rows) != dim:
+        raise ReferenceFormatError(key, f"expected a list of {dim} rows")
+    out = np.empty((dim, dim), dtype=float)
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != dim:
+            raise ReferenceFormatError(f"{key}[{i}]", f"expected a row of {dim} numbers")
+        for k, x in enumerate(row):
+            if not isinstance(x, (int, float)) or isinstance(x, bool):
+                raise ReferenceFormatError(f"{key}[{i}][{k}]", "expected a number")
+            try:
+                out[i, k] = float(x)
+            except OverflowError:
+                out[i, k] = math.inf
+            if not math.isfinite(out[i, k]):
+                raise ReferenceFormatError(f"{key}[{i}][{k}]", "expected a finite number")
+    return out
 
 
 def label_degrees(n: int) -> np.ndarray:

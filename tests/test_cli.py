@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import dataset_to_dict
+from conftest import dataset_to_dict, state_to_dict
 from qtomo import inversion, measurement, states
 from qtomo.cli import main
 
@@ -113,6 +113,23 @@ def test_estimate_oracle_with_state_file(tmp_path):
     assert code == 0
     report = json.loads((tmp_path / "o" / "fit.json").read_text())
     assert report["k_hat"] == 2
+
+
+@pytest.mark.parametrize("value, message", [
+    (10**400, "re[0][0]: expected a finite number"),
+    (float("nan"), "re[0][0]: expected a finite number"),
+    (True, "re[0][0]: expected a number"),
+], ids=["huge integer", "NaN", "bool"])
+def test_unreadable_state_file_entry_exit_4(tmp_path, capsys, value, message):
+    obj = state_to_dict(states.diag_state(2, 1))
+    obj["re"][0][0] = value
+    truth = tmp_path / "big.json"
+    truth.write_text(json.dumps(obj))
+    data = tmp_path / "data.json"
+    code = run("simulate", "--n", 2, "--m", 10, "--state", truth, "--out", data)
+    assert code == 4
+    assert capsys.readouterr().err == f"data error: {message}\n"
+    assert not data.exists()
 
 
 BAD_STATES = {

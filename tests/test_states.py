@@ -1,7 +1,17 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
-from conftest import ReferenceTomography, random_density, random_hermitian
+from conftest import (
+    ReferenceFormatError,
+    ReferenceTomography,
+    random_density,
+    random_hermitian,
+    reference_square_rows,
+    state_to_dict,
+)
 from qtomo import pauli, states
 from qtomo.errors import FormatError
 
@@ -210,10 +220,141 @@ def test_norms():
 def test_state_json_round_trip(tmp_path):
     rng = np.random.default_rng(23)
     h = random_hermitian(4, rng)
+    h.real[0, 1], h.imag[2, 3], h.imag[3, 3] = -0.0, -0.0, 5e-324
     path = tmp_path / "state.json"
     states.save_state(path, h)
     back = states.load_state(path)
-    assert np.allclose(back, h, atol=1e-15)
+    assert np.array_equal(back, h)
+    assert np.array_equal(np.signbit(back.real), np.signbit(h.real))
+    assert np.array_equal(np.signbit(back.imag), np.signbit(h.imag))
+
+
+EDGE_VALUES = (-0.0, 0.0, 5e-324, 1e-300, 1e16, 1 / 3, -1 / 3, -1e16, -5e-324)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_saved_state_bytes_match_indented_json_dump(tmp_path, n):
+    rng = np.random.default_rng(40 + n)
+    dim = 2**n
+    edges = np.empty((dim, dim), dtype=complex)
+    edges.real, edges.imag = rng.choice(EDGE_VALUES, size=(2, dim, dim))
+    path = tmp_path / "state.json"
+    for matrix in (random_hermitian(dim, rng), edges, np.zeros((dim, dim), dtype=complex)):
+        states.save_state(path, matrix)
+        expected = json.dumps(state_to_dict(matrix), indent=2, sort_keys=True) + "\n"
+        assert path.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("value", [complex(math.nan, 0), complex(0, math.inf), -math.inf])
+def test_save_state_rejects_a_non_finite_entry_before_opening(tmp_path, value):
+    matrix = states.maximally_mixed(2)
+    matrix[2, 1] = value
+    matrix[3, 0] = math.nan
+    path = tmp_path / "state.json"
+    with pytest.raises(ValueError, match=r"entry \[2, 1\] is not finite"):
+        states.save_state(path, matrix)
+    assert not path.exists()
+
+
+def test_load_state_accepts_integer_entries(tmp_path):
+    path = tmp_path / "state.json"
+    path.write_text('{"n": 1, "re": [[1, 0], [0, 2.5]], "im": [[0, -1], [1, 0]]}')
+    back = states.load_state(path)
+    assert np.array_equal(back, np.array([[1, -1j], [1j, 2.5]]))
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_load_state_rejects_a_non_finite_entry(tmp_path, literal):
+    obj = state_to_dict(states.maximally_mixed(1))
+    text = json.dumps(obj).replace('"re": [[0.5, 0.0], [0.0', f'"re": [[0.5, 0.0], [{literal}')
+    path = tmp_path / "state.json"
+    path.write_text(text)
+    with pytest.raises(FormatError) as err:
+        states.load_state(path)
+    assert err.value.path == "re[1][0]"
+    assert str(err.value) == "re[1][0]: expected a finite number"
+
+
+# Defects planted in a valid state object by the mutation table below: whole
+# rows, then single entries (each a JSON value the loader must reject, except
+# the integers and 2**1024 - 2**970 - 1, which round to a finite float).
+ROW_DEFECTS = ("missing row", "extra row", "short row", "long row", "row not a list",
+               "block not a list")
+ENTRY_DEFECTS = {
+    "bool": True, "false": False, "str": "0.5", "None": None, "nested list": [0.5],
+    "object": {}, "huge integer": 10**400, "negative huge integer": -(10**400),
+    "overflowing integer": 2**1024 - 2**970, "largest integer": 2**1024 - 2**970 - 1,
+    "integer": 7, "large integer": 2**70, "NaN": math.nan, "infinity": math.inf,
+    "negative infinity": -math.inf,
+}
+
+
+def _plant(obj: dict, key: str, defect: str, rng) -> None:
+    rows = obj[key]
+    i = int(rng.integers(len(rows)))
+    row = rows[i]
+    k = int(rng.integers(len(row))) if isinstance(row, list) and row else None
+    if defect == "missing row":
+        rows.pop(i)
+    elif defect == "extra row":
+        rows.append([0.0] * len(rows))
+    elif defect == "row not a list":
+        rows[i] = 0.5
+    elif defect == "block not a list":
+        obj[key] = {"rows": rows}
+    elif k is None:
+        return  # an earlier defect already broke this row
+    elif defect == "short row":
+        row.pop(k)
+    elif defect == "long row":
+        row.append(0.0)
+    else:
+        row[k] = ENTRY_DEFECTS[defect]
+
+
+def _check_against_reference(obj: dict) -> None:
+    dim = 2 ** obj["n"]
+    try:
+        re = reference_square_rows(obj["re"], "re", dim)
+        im = reference_square_rows(obj["im"], "im", dim)
+    except ReferenceFormatError as ref:
+        with pytest.raises(FormatError) as err:
+            states.state_from_dict(obj)
+        assert type(err.value) is FormatError
+        assert (err.value.path, str(err.value)) == (ref.path, str(ref))
+    else:
+        back = states.state_from_dict(obj)
+        assert np.array_equal(back.real, re) and np.array_equal(back.imag, im)
+
+
+@pytest.mark.parametrize("defect", ROW_DEFECTS + tuple(ENTRY_DEFECTS))
+def test_state_block_errors_match_the_per_element_reference(defect):
+    """One defect in the re block, or in the im block after a valid re block."""
+    rng = np.random.default_rng(sorted(ROW_DEFECTS + tuple(ENTRY_DEFECTS)).index(defect))
+    for n in (1, 2, 3):
+        for key in ("re", "im"):
+            for _ in range(3):
+                obj = state_to_dict(random_hermitian(2**n, rng))
+                _plant(obj, key, defect, rng)
+                _check_against_reference(obj)
+
+
+def test_first_bad_entry_in_row_major_order_is_reported():
+    """Two or three defects per object: the reference decides which comes first."""
+    rng = np.random.default_rng(67)
+    names = ROW_DEFECTS[2:5] + tuple(ENTRY_DEFECTS)
+    for n in (1, 2, 3):
+        for _ in range(40):
+            obj = state_to_dict(random_hermitian(2**n, rng))
+            for _ in range(int(rng.integers(2, 4))):
+                _plant(obj, str(rng.choice(["re", "im"])), str(rng.choice(names)), rng)
+            _check_against_reference(obj)
+
+
+def test_state_entries_may_be_float_subclasses():
+    obj = state_to_dict(states.maximally_mixed(1))
+    obj["re"][0][0] = np.float64(0.5)
+    assert np.array_equal(states.state_from_dict(obj), states.maximally_mixed(1))
 
 
 def test_state_json_errors(tmp_path):
