@@ -257,7 +257,7 @@ def read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise FormatError("", f"invalid JSON: {exc}") from exc
 
 

@@ -132,6 +132,14 @@ def test_unreadable_state_file_entry_exit_4(tmp_path, capsys, value, message):
     assert not data.exists()
 
 
+def test_file_that_is_not_utf8_exit_4(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'\xff\xfe{"n": 1}')
+    assert run("estimate", bad, "--out", tmp_path / "o") == 4
+    assert run("simulate", "--n", 1, "--m", 5, "--state", bad, "--out", tmp_path / "d.json") == 4
+    assert capsys.readouterr().err.count("data error: invalid JSON: 'utf-8' codec") == 2
+
+
 BAD_STATES = {
     # trace 1, eigenvalues 2 and -1
     "smallest eigenvalue": np.diag([2.0, -1.0]).astype(complex),

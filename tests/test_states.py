@@ -327,10 +327,13 @@ def _check_against_reference(obj: dict) -> None:
         assert np.array_equal(back.real, re) and np.array_equal(back.imag, im)
 
 
-@pytest.mark.parametrize("defect", ROW_DEFECTS + tuple(ENTRY_DEFECTS))
+DEFECTS = ROW_DEFECTS + tuple(ENTRY_DEFECTS)
+
+
+@pytest.mark.parametrize("defect", DEFECTS)
 def test_state_block_errors_match_the_per_element_reference(defect):
     """One defect in the re block, or in the im block after a valid re block."""
-    rng = np.random.default_rng(sorted(ROW_DEFECTS + tuple(ENTRY_DEFECTS)).index(defect))
+    rng = np.random.default_rng(DEFECTS.index(defect))
     for n in (1, 2, 3):
         for key in ("re", "im"):
             for _ in range(3):
