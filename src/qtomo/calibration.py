@@ -31,6 +31,14 @@ from .errors import ConfigError
 PENALTY_MODES = ("oracle", "theory", "bootstrap", "fixed")
 PENALTY_GRAMMAR = "oracle | theory | bootstrap | fixed:VALUE | VALUE, VALUE finite and >= 0"
 
+# The most table cells (6^n per repetition) that one bootstrap batch inverts
+# together. A batch spreads the fixed cost of each call in the inversion chain
+# over its repetitions, which pays only while a table is small. 2^15 is the
+# largest power of two below 6^6 = 46,656: a batch holds 25 repetitions at
+# n = 4 (so the default 20 make one batch) and 4 at n = 5, and from n = 6 on
+# one, so a large run holds the memory of one repetition, as it did unbatched.
+BATCH_CELLS = 2**15
+
 
 @dataclass
 class PenaltyChoice:
@@ -124,18 +132,24 @@ def bootstrap_norms(
     Projects the estimate to a physical state, re-simulates ``reps``
     datasets of the same size from its outcome law (built and checked once),
     inverts each, and records the operator norm of (synthetic estimate -
-    physical state).
+    physical state). The repetitions are drawn one stream each and inverted
+    in stacked batches of at most ``BATCH_CELLS`` table cells; each norm has
+    the bits of its repetition inverted alone.
     """
     if reps < 2:
         raise ValueError(f"bootstrap needs reps >= 2, got {reps}")
     sigma = states.nearest_density(est.matrix)
     law = measurement._outcome_law(measurement.probability_table(sigma), m)
-    norms = np.empty(reps)
-    for j in range(reps):
-        ds = measurement._draw_dataset(law, m, measurement.stream(seed, j))
+    size = max(1, BATCH_CELLS // 6**est.n)
+    norms = []
+    for start in range(0, reps, size):
+        ds = measurement.Dataset(n=est.n, m=m, counts=np.stack([
+            measurement._draw_counts(law, m, measurement.stream(seed, j))
+            for j in range(start, min(start + size, reps))
+        ]))
         synth = inversion.linear_estimator(measurement.empirical_frequencies(ds))
-        norms[j] = states.operator_norm(synth.matrix - sigma)
-    return norms
+        norms.append(states.operator_norm(synth.matrix - sigma))
+    return np.concatenate(norms)
 
 
 def nu_bootstrap(est: inversion.LinearEstimate, m: int, reps: int, seed) -> float:

@@ -97,9 +97,14 @@ def frobenius_norm(matrix: np.ndarray) -> float:
     return float(np.linalg.norm(matrix))
 
 
-def operator_norm(matrix: np.ndarray) -> float:
-    """Largest absolute eigenvalue, via a symmetric eigensolve (Hermitian input)."""
-    return float(np.abs(np.linalg.eigvalsh(matrix)).max())
+def operator_norm(matrix: np.ndarray) -> float | np.ndarray:
+    """Largest absolute eigenvalue, via a symmetric eigensolve (Hermitian input).
+
+    A stack of shape (..., d, d) gives one norm per matrix, shape (...), each
+    the bits of a call on that matrix alone; one matrix gives a float.
+    """
+    norms = np.abs(np.linalg.eigvalsh(matrix)).max(axis=-1)
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def trace_norm(matrix: np.ndarray) -> float:
@@ -134,20 +139,21 @@ def pauli_expand(matrix: np.ndarray) -> np.ndarray:
 def pauli_assemble(coeffs: np.ndarray) -> np.ndarray:
     """Hermitian matrix with the given real Pauli coefficients.
 
-    Exact inverse of ``pauli_expand``.
+    Exact inverse of ``pauli_expand``. Coefficients of shape (..., 4^n), a
+    stack of vectors, give a stack of matrices of shape (..., 2^n, 2^n), each
+    the bits of a call on that vector alone.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.ndim != 1:
+    if coeffs.ndim < 1:
         raise ValueError(f"expected a coefficient vector, got shape {coeffs.shape}")
-    size = coeffs.size
+    batch, size = coeffs.shape[:-1], coeffs.shape[-1]
     n = max((int(size).bit_length() - 1) // 2, 0)
     if size != 4**n or n < 1:
         raise ValueError(f"coefficient length {size} is not a power of 4 >= 4")
     pauli.check_qubits(n)
-    t = _per_qubit(_ASSEMBLE_1Q, coeffs.astype(complex).reshape((4,) * n), n)
-    t = t.reshape((2, 2) * n)
-    t = np.transpose(t, np.argsort(_interleave_perm(n)))
-    return np.ascontiguousarray(t.reshape(2**n, 2**n))
+    t = _per_qubit(_ASSEMBLE_1Q, coeffs.astype(complex).reshape(batch + (4,) * n), n)
+    t = np.transpose(t.reshape(batch + (2, 2) * n), np.argsort(_interleave_perm(n, len(batch))))
+    return np.ascontiguousarray(t.reshape(batch + (2**n, 2**n)))
 
 
 # ---------------------------------------------------------------------------

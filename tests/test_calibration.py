@@ -255,6 +255,50 @@ def test_bootstrap_norms_build_the_outcome_law_once(monkeypatch):
     assert len(calls) == 1
 
 
+def _batch_sizes(monkeypatch) -> list:
+    """Record how many repetitions each bootstrap batch inverts."""
+    sizes = []
+    frequencies = measurement.empirical_frequencies
+    monkeypatch.setattr(
+        measurement, "empirical_frequencies",
+        lambda ds: sizes.append(ds.counts.shape[0]) or frequencies(ds),
+    )
+    return sizes
+
+
+def test_bootstrap_batches_give_the_bits_of_a_per_repetition_loop(monkeypatch):
+    n, m, seed = 5, 30, 31
+    per_batch = calibration.BATCH_CELLS // 6**n
+    assert per_batch > 1
+    reps = 2 * per_batch + 1  # two full batches and a partial one
+    ds = measurement.simulate_dataset(states.mixture(n, 2, 0.4), m, 37)
+    est = inversion.linear_estimator(measurement.empirical_frequencies(ds))
+    sizes = _batch_sizes(monkeypatch)
+    norms = calibration.bootstrap_norms(est, m, reps, seed)
+    monkeypatch.undo()
+    assert sizes == [per_batch, per_batch, 1]
+
+    sigma = states.nearest_density(est.matrix)
+    expected = []
+    for j in range(reps):
+        synth = inversion.linear_estimator(measurement.empirical_frequencies(
+            measurement.simulate_dataset(sigma, m, measurement.stream(seed, j))
+        ))
+        expected.append(states.operator_norm(synth.matrix - sigma))
+    assert norms.tolist() == expected
+
+
+def test_bootstrap_batches_hold_one_repetition_from_six_qubits(monkeypatch):
+    # a 6^6 table alone exceeds the cap, so a large run keeps the memory of
+    # one repetition at every n >= 6
+    assert calibration.BATCH_CELLS < 6**6
+    ds = measurement.simulate_dataset(states.ghz(6), 20, 41)
+    est = inversion.linear_estimator(measurement.empirical_frequencies(ds))
+    sizes = _batch_sizes(monkeypatch)
+    assert calibration.bootstrap_norms(est, 20, 3, 43).shape == (3,)
+    assert sizes == [1, 1, 1]
+
+
 def test_bootstrap_norms_do_not_depend_on_the_repetition_count():
     # one child stream per repetition: the first repetitions of a longer run
     # are the repetitions of a shorter one, bit for bit

@@ -323,18 +323,21 @@ def test_calibrate_inverts_the_dataset_only_when_the_mode_reads_it(
     states.save_state(state, states.mixture(2, 2, 0.3))
     run("simulate", "--n", 2, "--m", 40, "--state", state, "--seed", 2, "--out", data)
     freqs = measurement.load_dataset(data).counts / 40
-    of_dataset = []
+    of_dataset, inverted = [], []
     linear_estimator = inversion.linear_estimator
-    monkeypatch.setattr(
-        inversion, "linear_estimator",
-        lambda f: of_dataset.append(np.array_equal(f.values, freqs)) or linear_estimator(f),
-    )
+
+    def counting(f):
+        of_dataset.append(np.array_equal(f.values, freqs))
+        inverted.append(f.values.size // freqs.size)  # a stack inverts several datasets
+        return linear_estimator(f)
+
+    monkeypatch.setattr(inversion, "linear_estimator", counting)
     capsys.readouterr()
     code = run("calibrate", data, "--penalty", penalty, "--state", state, "--reps", 3)
     assert code == 0
     assert json.loads(capsys.readouterr().out)["mode"] == mode
     # the dataset is inverted once or not at all; bootstrap adds its 3 synthetic datasets
-    assert (sum(of_dataset), len(of_dataset)) == (min(calls, 1), calls)
+    assert (sum(of_dataset), sum(inverted)) == (min(calls, 1), calls)
 
 
 def test_unknown_penalty_exit_2(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import ReferenceTomography
-from qtomo import _kernels
+from qtomo import _kernels, states
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -50,3 +50,35 @@ def test_adjoint_identity(n):
     rhs = np.vdot(coeffs, _kernels.design_adjoint_sums(table, n))
     # rounding relative to the Cauchy-Schwarz scale of the inner product
     assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(forward) * np.linalg.norm(table)
+
+
+@pytest.mark.parametrize("items", [1, 3])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_stacks_give_the_bits_of_per_item_calls(n, items):
+    # the batch axis of the adjoint map, Pauli assembly and the operator norm:
+    # each item of a stack equals a call on that item alone, bit for bit
+    rng = np.random.default_rng(70 + 10 * n + items)
+    tables = rng.normal(size=(items, 3**n, 2**n))
+    sums = _kernels.design_adjoint_sums(tables, n)
+    assert sums.shape == (items, 4**n)
+    assert np.array_equal(sums, [_kernels.design_adjoint_sums(t, n) for t in tables])
+    matrices = states.pauli_assemble(sums)
+    assert matrices.shape == (items, 2**n, 2**n)
+    assert np.array_equal(matrices, [states.pauli_assemble(c) for c in sums])
+    norms = states.operator_norm(matrices)
+    assert norms.shape == (items,)
+    assert norms.tolist() == [states.operator_norm(h) for h in matrices]
+    # two batch axes flatten to the same items
+    grid = tables.reshape(1, items, 3**n, 2**n)
+    assert np.array_equal(_kernels.design_adjoint_sums(grid, n), sums[None])
+    assert np.array_equal(states.pauli_assemble(sums[None]), matrices[None])
+
+
+def test_stack_shape_errors():
+    with pytest.raises(ValueError, match="power of 4"):
+        states.pauli_assemble(np.zeros((3, 6)))
+    with pytest.raises(ValueError, match="coefficient vector"):
+        states.pauli_assemble(np.float64(1.0))
+    with pytest.raises(ValueError):
+        _kernels.design_adjoint_sums(np.zeros((2, 9, 3)), 2)
+    assert isinstance(states.operator_norm(np.eye(2)), float)

@@ -207,6 +207,15 @@ def test_dataset_validation():
         measurement.Dataset(n=1, m=5, counts=np.array([[4, 2], [5, 0], [5, 0]]))
     with pytest.raises(ValueError, match="m="):
         measurement.Dataset(n=1, m=0, counts=np.zeros((3, 2), dtype=np.int64))
+    # a stack of datasets is checked row by row, and names the bad setting
+    good = [[5, 0], [5, 0], [5, 0]]
+    assert measurement.Dataset(n=1, m=5, counts=np.array([good, good])).counts.shape == (2, 3, 2)
+    with pytest.raises(ValueError, match="setting 'y' has 6 counts"):
+        measurement.Dataset(n=1, m=5, counts=np.array([good, [[5, 0], [4, 2], [5, 0]]]))
+    with pytest.raises(ValueError, match="non-negative"):
+        measurement.Dataset(n=1, m=5, counts=np.array([good, [[5, 0], [6, -1], [5, 0]]]))
+    with pytest.raises(ValueError, match="shape"):
+        measurement.Dataset(n=1, m=5, counts=np.array([good, good]).reshape(2, 2, 3))
 
 
 def test_dataset_json_round_trip():
@@ -275,7 +284,7 @@ def test_dataset_file_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_saved_bytes_match_indented_json_dump(tmp_path, n):
+def test_saved_bytes_match_indented_json_dump(tmp_path, monkeypatch, n):
     rng = np.random.default_rng(59 + n)
     cases = [
         (states.diag_state(n, 1), 40),
@@ -283,11 +292,15 @@ def test_saved_bytes_match_indented_json_dump(tmp_path, n):
         (random_density(2**n, rng), 1),
     ]
     path = tmp_path / "data.json"
+    # one block, a block per setting, and blocks of two settings (the last one short)
+    blocks = (measurement._SAVE_BLOCK_CELLS, 2**n, 2 ** (n + 1))
     for seed, (rho, m) in enumerate(cases):
         ds = measurement.simulate_dataset(rho, m, seed)
-        measurement.save_dataset(path, ds)
         expected = json.dumps(dataset_to_dict(ds), indent=2, sort_keys=True) + "\n"
-        assert path.read_bytes() == expected.encode("utf-8")
+        for block in blocks:
+            monkeypatch.setattr(measurement, "_SAVE_BLOCK_CELLS", block)
+            measurement.save_dataset(path, ds)
+            assert path.read_bytes() == expected.encode("utf-8")
 
 
 def test_load_accepts_any_layout_and_entry_order(tmp_path):
