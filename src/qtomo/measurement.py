@@ -274,7 +274,7 @@ def _check_duplicates(entries: list, cells) -> None:
 # not the file, bounds its memory: a 116 MB GHZ file at n = 9 peaks at 50 MB
 # instead of 407 MB (tracemalloc). Blocks of 2^16 cells peaked lower still, but
 # their many freed mid-size buffers fragmented the glibc heap, and the process
-# peak of a simulate-then-estimate loop at n = 8 rose from 240 to 260 MB.
+# peak of a simulate-then-estimate loop at n = 8 rose from 238 to 256 MB.
 _SAVE_BLOCK_CELLS = 2**20
 
 
