@@ -270,34 +270,21 @@ def _check_duplicates(entries: list, cells) -> None:
         ) from None
 
 
-# Cells per block that save_dataset renders and writes at once, so the block,
-# not the file, bounds its memory: a 116 MB GHZ file at n = 9 peaks at 50 MB
-# instead of 407 MB (tracemalloc). Blocks of 2^16 cells peaked lower still, but
-# their many freed mid-size buffers fragmented the glibc heap, and the process
-# peak of a simulate-then-estimate loop at n = 8 rose from 238 to 256 MB.
-_SAVE_BLOCK_CELLS = 2**20
-
-
 def save_dataset(path, dataset: Dataset) -> None:
-    """Write a dataset JSON file, one block of settings at a time."""
+    cells = np.nonzero(dataset.counts)
     settings = list(pauli.all_settings(dataset.n))
     outcomes = list(pauli.all_outcomes(dataset.n))
-    step = max(1, _SAVE_BLOCK_CELLS >> dataset.n)
+    entries = zip(
+        dataset.counts[cells].tolist(),
+        map(outcomes.__getitem__, cells[1].tolist()),
+        map(settings.__getitem__, cells[0].tolist()),
+    )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write('{\n  "counts": [\n')
-        for lo in range(0, len(settings), step):
-            block, names = dataset.counts[lo:lo + step], settings[lo:lo + step]
-            rows, cols = np.nonzero(block)  # every setting has a nonzero cell
-            entries = zip(
-                block[rows, cols].tolist(),
-                map(outcomes.__getitem__, cols.tolist()),
-                map(names.__getitem__, rows.tolist()),
-            )
-            fh.write(",\n" if lo else "")
-            fh.write(",\n".join([
-                f'    {{\n      "count": {c},\n      "outcome": "{r}",\n      "setting": "{a}"\n    }}'
-                for c, r, a in entries
-            ]))
+        fh.write(",\n".join([
+            f'    {{\n      "count": {c},\n      "outcome": "{r}",\n      "setting": "{a}"\n    }}'
+            for c, r, a in entries
+        ]))
         fh.write(f'\n  ],\n  "m": {dataset.m},\n  "n": {dataset.n}\n}}\n')
 
 

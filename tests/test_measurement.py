@@ -284,7 +284,7 @@ def test_dataset_file_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_saved_bytes_match_indented_json_dump(tmp_path, monkeypatch, n):
+def test_saved_bytes_match_indented_json_dump(tmp_path, n):
     rng = np.random.default_rng(59 + n)
     cases = [
         (states.diag_state(n, 1), 40),
@@ -292,15 +292,11 @@ def test_saved_bytes_match_indented_json_dump(tmp_path, monkeypatch, n):
         (random_density(2**n, rng), 1),
     ]
     path = tmp_path / "data.json"
-    # one block, a block per setting, and blocks of two settings (the last one short)
-    blocks = (measurement._SAVE_BLOCK_CELLS, 2**n, 2 ** (n + 1))
     for seed, (rho, m) in enumerate(cases):
         ds = measurement.simulate_dataset(rho, m, seed)
+        measurement.save_dataset(path, ds)
         expected = json.dumps(dataset_to_dict(ds), indent=2, sort_keys=True) + "\n"
-        for block in blocks:
-            monkeypatch.setattr(measurement, "_SAVE_BLOCK_CELLS", block)
-            measurement.save_dataset(path, ds)
-            assert path.read_bytes() == expected.encode("utf-8")
+        assert path.read_bytes() == expected.encode("utf-8")
 
 
 def test_load_accepts_any_layout_and_entry_order(tmp_path):
