@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import inversion, measurement, pauli, states
+from . import inversion, measurement, pauli, rankpen, states
 from .errors import ConfigError
 
 PENALTY_MODES = ("oracle", "theory", "bootstrap", "fixed")
@@ -138,7 +138,8 @@ def bootstrap_norms(
     """
     if reps < 2:
         raise ValueError(f"bootstrap needs reps >= 2, got {reps}")
-    sigma = states.nearest_density(est.matrix)
+    dec = rankpen.spectral(est)
+    sigma = states.nearest_density(dec.eigenvalues, dec.vectors)
     law = measurement._outcome_law(measurement.probability_table(sigma), m)
     size = max(1, BATCH_CELLS // 6**est.n)
     norms = []

@@ -9,9 +9,10 @@ k = 0 .. 2^n. Step k adds nu - s_k^2 and the s_k decrease, so the minimizer
 is the number of singular values at or above sqrt(nu), which
 ``select_rank_threshold`` counts; a tie s_k = sqrt(nu) takes the larger rank.
 
-The selected matrix is generally still not a state; the fit carries a
-physical version obtained by projecting onto density matrices of rank at
-most max(k_hat, 1).
+The selected matrix is generally still not a state. From the same eigensystem
+the fit builds the nearest density matrix of rank <= max(k_hat, 1) to the
+linear estimate: its top max(k_hat, 1) signed eigenvalues projected onto the
+simplex, with their eigenvectors (at k_hat = 0, the top eigenvector).
 """
 
 from __future__ import annotations
@@ -46,9 +47,9 @@ class RankPenalizedFit:
 
     ``objective[k]`` is the penalized residual at rank k for k = 0 .. dim;
     ``estimate`` is the best rank-k_hat approximation of the input and
-    ``physical_estimate`` its projection onto density matrices of rank at
-    most ``physical_rank`` (= max(k_hat, 1): a zero matrix cannot be
-    normalized to a state, so k_hat = 0 is floored).
+    ``physical_estimate`` the nearest density matrix to the input of rank at
+    most ``physical_rank`` = max(k_hat, 1); when the retained eigenvalues are
+    positive, that is also the projection of ``estimate`` onto states.
     """
 
     nu: float
@@ -107,18 +108,16 @@ def select_rank_threshold(dec: SpectralDecomposition, nu: float) -> int:
 
 
 def penalized_fit(est, nu: float) -> RankPenalizedFit:
-    """Select the rank with ``select_rank_threshold`` and build both estimates."""
+    """Select the rank with ``select_rank_threshold``; build both estimates from one eigensolve."""
     dec = spectral(est)
     k_hat = select_rank_threshold(dec, nu)
     objective = _tail_sums(dec.singular_values) + nu * np.arange(dec.singular_values.size + 1)
-    estimate = truncate(dec, k_hat)
     physical_rank = max(k_hat, 1)
-    physical = states.nearest_density(estimate, max_rank=physical_rank)
     return RankPenalizedFit(
         nu=float(nu),
         k_hat=k_hat,
-        estimate=estimate,
-        physical_estimate=physical,
+        estimate=truncate(dec, k_hat),
+        physical_estimate=states.nearest_density(dec.eigenvalues, dec.vectors, physical_rank),
         singular_values=dec.singular_values.copy(),
         objective=objective,
         physical_rank=physical_rank,

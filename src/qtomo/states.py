@@ -6,10 +6,10 @@ uniquely over the 4^n tensor-product Pauli basis with real coefficients
 ``c[b] = Tr(M sigma_b) / 2^n``; ``pauli_expand`` / ``pauli_assemble``
 convert both ways in O(n 4^n) via a per-qubit change of basis.
 
-``nearest_density`` projects an arbitrary Hermitian matrix onto the set of
-density matrices (optionally of bounded rank) by Euclidean projection of its
-spectrum onto the probability simplex, which never increases the Frobenius
-distance to any density matrix of the retained support.
+``nearest_density`` projects a Hermitian matrix, given by its eigensystem,
+onto the density matrices (optionally of bounded rank) by Euclidean
+projection of its spectrum onto the probability simplex, which never
+increases the Frobenius distance to any density matrix of the retained support.
 
 Everything here is a pure function over immutable values.
 """
@@ -226,27 +226,28 @@ def project_simplex(values: np.ndarray) -> np.ndarray:
     return np.maximum(values - tau, 0.0)
 
 
-def nearest_density(matrix: np.ndarray, max_rank: int | None = None) -> np.ndarray:
-    """Closest density matrix in Frobenius norm, optionally of bounded rank.
+def nearest_density(eigenvalues, vectors, max_rank: int | None = None) -> np.ndarray:
+    """Closest density matrix of rank <= max_rank to V diag(eigenvalues) V^H, in Frobenius norm.
 
-    Eigendecomposes the input, optionally keeps only the top ``max_rank``
-    eigenvalues (ties resolved toward the lower position in the descending
-    spectrum), projects the retained eigenvalues onto the probability
-    simplex, and reassembles. Idempotent; the output satisfies the density
-    invariants up to machine precision.
+    Takes an eigensystem with its columns in any order, as ``np.linalg.eigh``
+    or ``rankpen.spectral`` give it. Keeps the top ``max_rank`` signed
+    eigenvalues (all if None; ties toward the lower position when descending),
+    projects them onto the probability simplex, and reassembles in ascending
+    order, so any column order gives the bits of ``eigh``'s. Idempotent.
     """
-    matrix = require_hermitian(matrix)
-    dim = matrix.shape[0]
-    w, v = np.linalg.eigh(matrix)
+    w = np.asarray(eigenvalues, dtype=float)
+    dim = w.size
+    if w.ndim != 1 or np.shape(vectors) != (dim, dim):
+        raise ValueError(f"eigensystem shapes {w.shape} and {np.shape(vectors)} do not match")
+    asc = np.argsort(w, kind="stable")
+    w, v = w[asc], np.asarray(vectors, dtype=complex)[:, asc]
     order = np.argsort(-w, kind="stable")
     if max_rank is not None:
         if not 1 <= max_rank <= dim:
             raise ValueError(f"max_rank={max_rank} out of range [1, {dim}]")
-        keep = order[:max_rank]
-    else:
-        keep = order
+        order = order[:max_rank]
     out_w = np.zeros(dim)
-    out_w[keep] = project_simplex(w[keep])
+    out_w[order] = project_simplex(w[order])
     out = (v * out_w) @ v.conj().T
     return 0.5 * (out + out.conj().T)
 

@@ -9,7 +9,6 @@ dataset, so mode comparisons are paired.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,7 +30,6 @@ class StudyRecord:
     nu: float
     op_error: float
     frob_error: float
-    runtime: float
 
 
 def rank_study(
@@ -69,11 +67,9 @@ def rank_study(
     for d in d_values:
         rho = states.diag_state(n, d)
         for rep in range(reps):
-            t0 = time.perf_counter()
             ds = measurement.simulate_dataset(rho, m, measurement.stream(seed, 0, d, rep))
             est = inversion.linear_estimator(measurement.empirical_frequencies(ds))
             dec = rankpen.spectral(est)
-            runtime = time.perf_counter() - t0
             diff = est.matrix - rho
             op_error = states.operator_norm(diff)
             frob_error = states.frobenius_norm(diff)
@@ -85,7 +81,7 @@ def rank_study(
                 records.append(
                     StudyRecord(
                         d=d, m=m, mode=mode, rep=rep, k_hat=k_hat, nu=nu,
-                        op_error=op_error, frob_error=frob_error, runtime=runtime,
+                        op_error=op_error, frob_error=frob_error,
                     )
                 )
     aggregates = []
@@ -121,21 +117,18 @@ def error_study(
         rho = states.diag_state(n, d)
         for m in m_values:
             for rep in range(reps):
-                t0 = time.perf_counter()
                 ds = measurement.simulate_dataset(
                     rho, m, measurement.stream(seed, 0, d, m, rep)
                 )
                 est = inversion.linear_estimator(
                     measurement.empirical_frequencies(ds)
                 )
-                runtime = time.perf_counter() - t0
                 diff = est.matrix - rho
                 records.append(
                     StudyRecord(
                         d=d, m=m, mode="none", rep=rep, k_hat=-1, nu=float("nan"),
                         op_error=states.operator_norm(diff),
                         frob_error=states.frobenius_norm(diff),
-                        runtime=runtime,
                     )
                 )
     aggregates = []

@@ -91,6 +91,25 @@ def reference_scan_rank(h: np.ndarray, nu: float) -> int:
     return k_hat
 
 
+def reference_physical_estimate(h: np.ndarray, rank: int) -> np.ndarray:
+    """Nearest density matrix of rank <= ``rank`` to the Hermitian ``h``.
+
+    Its own dense eigh, the eigenvectors of the ``rank`` largest signed
+    eigenvalues, and a sort-based simplex projection of those eigenvalues:
+    with u sorted in decreasing order, each weight is max(u - tau, 0) for the
+    shift tau = (u_1 + .. + u_j - 1) / j at the largest j where u_j exceeds it.
+    """
+    w, v = np.linalg.eigh(h)
+    top = np.argsort(w)[::-1][:rank]
+    total, tau = 0.0, 0.0
+    for j, u in enumerate(sorted(w[top], reverse=True), start=1):
+        total += u
+        if u > (total - 1.0) / j:
+            tau = (total - 1.0) / j
+    weights = np.array([max(x - tau, 0.0) for x in w[top]])
+    return (v[:, top] * weights) @ v[:, top].conj().T
+
+
 # ---------------------------------------------------------------------------
 # Independent reference for the measurement model and the linear estimator.
 #

@@ -233,7 +233,7 @@ def test_bootstrap_norms_match_per_repetition_simulation(monkeypatch):
     monkeypatch.undo()
     assert len(calls) == 1
 
-    sigma = states.nearest_density(est.matrix)
+    sigma = states.nearest_density(*np.linalg.eigh(est.matrix))
     expected = []
     for child in np.random.SeedSequence(99).spawn(4):
         synth = inversion.linear_estimator(
@@ -278,7 +278,7 @@ def test_bootstrap_batches_give_the_bits_of_a_per_repetition_loop(monkeypatch):
     monkeypatch.undo()
     assert sizes == [per_batch, per_batch, 1]
 
-    sigma = states.nearest_density(est.matrix)
+    sigma = states.nearest_density(*np.linalg.eigh(est.matrix))
     expected = []
     for j in range(reps):
         synth = inversion.linear_estimator(measurement.empirical_frequencies(

@@ -73,6 +73,40 @@ def test_estimate_theory_penalty_well_formed(tmp_path):
     assert 0 <= report["k_hat"] <= 1
 
 
+def test_estimate_rank_zero_physical_state_follows_the_data(tmp_path):
+    # the default theory penalty selects k_hat = 0 at m = 100; the physical
+    # state is then the top eigenvector of the linear estimate, so W data and
+    # GHZ data give different states, each nearer the state it was drawn from
+    truths = {"w": states.w_state(4), "ghz": states.ghz(4)}
+    physical = {}
+    for name in truths:
+        data, out_dir = tmp_path / f"{name}.json", tmp_path / name
+        run("simulate", "--n", 4, "--m", 100, "--state", name, "--seed", 7, "--out", data)
+        assert run("estimate", data, "--out", out_dir) == 0
+        assert json.loads((out_dir / "fit.json").read_text())["k_hat"] == 0
+        physical[name] = states.require_density(states.load_state(out_dir / "physical_state.json"))
+    fidelity = {(a, b): np.trace(truths[a] @ physical[b]).real for a in truths for b in truths}
+    assert fidelity["w", "w"] > fidelity["w", "ghz"]
+    assert fidelity["ghz", "ghz"] > fidelity["ghz", "w"]
+
+
+@pytest.mark.parametrize(
+    "penalty, calls", [("theory", 1), ("fixed:0.01", 1), ("oracle", 1), ("bootstrap", 2)]
+)
+def test_estimate_eigensolves_once_per_fit(tmp_path, monkeypatch, penalty, calls):
+    # the fit builds both estimates from one eigh of the linear estimate; the
+    # bootstrap adds one for the physical state it re-simulates from
+    data, state = tmp_path / "data.json", tmp_path / "state.json"
+    states.save_state(state, states.mixture(3, 2, 0.3))
+    run("simulate", "--n", 3, "--m", 50, "--state", state, "--seed", 1, "--out", data)
+    eigh, counted = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: counted.append(1) or eigh(*a, **k))
+    code = run("estimate", data, "--penalty", penalty, "--state", state, "--reps", 3,
+               "--out", tmp_path / "fit")
+    assert code == 0
+    assert len(counted) == calls
+
+
 def test_estimate_missing_file_exit_3(tmp_path):
     assert run("estimate", tmp_path / "nope.json", "--out", tmp_path / "o") == 3
 

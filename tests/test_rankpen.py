@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_hermitian, reference_scan_rank
+from conftest import random_hermitian, reference_physical_estimate, reference_scan_rank
 from qtomo import inversion, measurement, rankpen, states
 
 
@@ -204,3 +204,32 @@ def test_physical_estimate_always_valid():
         states.require_density(fit.physical_estimate)
         rank = np.count_nonzero(np.linalg.eigvalsh(fit.physical_estimate) > 1e-10)
         assert rank <= fit.physical_rank
+
+
+@pytest.mark.parametrize("dim", [4, 8, 16])
+def test_physical_estimate_matches_the_reference(dim):
+    # k_hat from the reference scan; penalties above the spectrum (k_hat = 0),
+    # inside it and at zero (every rank), so the partial ranks include
+    # retained eigenvalues that are negative and ones that are all positive
+    rng = np.random.default_rng(127 + dim)
+    seen = set()
+    for _ in range(40):
+        h = random_hermitian(dim, rng, scale=rng.uniform(0.05, 1.0))
+        w = np.linalg.eigvalsh(h)
+        s = np.sort(np.abs(w))[::-1]
+        for nu in (1.01 * s[0]) ** 2, float(rng.uniform(s[-1], s[0])) ** 2, 0.0:
+            k_hat = reference_scan_rank(h, nu)
+            fit = rankpen.penalized_fit(h, nu)
+            assert fit.k_hat == k_hat
+            expected = reference_physical_estimate(h, max(k_hat, 1))
+            assert np.abs(fit.physical_estimate - expected).max() < 1e-12
+            retained = w[np.argsort(-np.abs(w), kind="stable")[:k_hat]]
+            if k_hat == 0:
+                seen.add("k_hat = 0")
+            elif k_hat < dim and (retained < 0).any():
+                seen.add("negative retained")
+            elif k_hat < dim:
+                # all retained values positive: also the projection of the truncated estimate
+                truncated = reference_physical_estimate(fit.estimate, k_hat)
+                assert np.abs(fit.physical_estimate - truncated).max() < 1e-12
+    assert seen == {"k_hat = 0", "negative retained"}

@@ -164,13 +164,13 @@ def test_project_simplex_properties_and_optimality():
 def test_nearest_density_fixed_point():
     rng = np.random.default_rng(11)
     rho = random_density(8, rng)
-    assert np.linalg.norm(states.nearest_density(rho) - rho) < 1e-12
+    assert np.linalg.norm(states.nearest_density(*np.linalg.eigh(rho)) - rho) < 1e-12
 
 
 def test_nearest_density_hand_cases():
-    out = states.nearest_density(np.diag([1.2, -0.2]).astype(complex))
+    out = states.nearest_density(*np.linalg.eigh(np.diag([1.2, -0.2]).astype(complex)))
     assert np.allclose(out, np.diag([1.0, 0.0]), atol=1e-12)
-    out = states.nearest_density(np.diag([0.9, 0.3, -0.2, 0.0]).astype(complex))
+    out = states.nearest_density(*np.linalg.eigh(np.diag([0.9, 0.3, -0.2, 0.0]).astype(complex)))
     assert np.allclose(out, np.diag([0.8, 0.2, 0.0, 0.0]), atol=1e-12)
 
 
@@ -178,31 +178,43 @@ def test_nearest_density_idempotent_and_valid():
     rng = np.random.default_rng(13)
     for _ in range(20):
         h = random_hermitian(8, rng)
-        out = states.nearest_density(h)
+        out = states.nearest_density(*np.linalg.eigh(h))
         states.require_density(out)
         assert abs(out.trace().real - 1.0) < 1e-12
         assert np.linalg.eigvalsh(out)[0] > -1e-12
-        assert np.linalg.norm(states.nearest_density(out) - out) < 1e-12
+        assert np.linalg.norm(states.nearest_density(*np.linalg.eigh(out)) - out) < 1e-12
 
 
 def test_nearest_density_max_rank():
     rng = np.random.default_rng(17)
     h = random_hermitian(8, rng)
     for k in (1, 2, 5):
-        out = states.nearest_density(h, max_rank=k)
+        out = states.nearest_density(*np.linalg.eigh(h), max_rank=k)
         states.require_density(out)
         assert np.count_nonzero(np.linalg.eigvalsh(out) > 1e-10) <= k
     with pytest.raises(ValueError):
-        states.nearest_density(h, max_rank=0)
+        states.nearest_density(*np.linalg.eigh(h), max_rank=0)
     with pytest.raises(ValueError):
-        states.nearest_density(h, max_rank=9)
+        states.nearest_density(*np.linalg.eigh(h), max_rank=9)
+
+
+def test_nearest_density_gives_the_bits_of_eigh_in_any_column_order():
+    rng = np.random.default_rng(23)
+    for dim in (2, 8, 32):
+        w, v = np.linalg.eigh(random_hermitian(dim, rng))
+        perm = rng.permutation(dim)
+        for k in (None, 1, dim // 2):
+            expected = states.nearest_density(w, v, max_rank=k).tobytes()
+            assert states.nearest_density(w[perm], v[:, perm], max_rank=k).tobytes() == expected
+    with pytest.raises(ValueError, match="shapes"):
+        states.nearest_density(np.ones(3), np.eye(4))
 
 
 def test_nearest_density_frobenius_optimality():
     rng = np.random.default_rng(19)
     for _ in range(10):
         h = random_hermitian(4, rng)
-        out = states.nearest_density(h)
+        out = states.nearest_density(*np.linalg.eigh(h))
         rank = int(np.count_nonzero(np.linalg.eigvalsh(out) > 1e-10))
         base = np.linalg.norm(out - h)
         for _ in range(25):
