@@ -26,9 +26,10 @@ from .inversion import (
 from .measurement import (
     Dataset,
     EmpiricalFrequencies,
+    draw_dataset,
     empirical_frequencies,
-    exact_frequencies,
     load_dataset,
+    outcome_law,
     probability_table,
     save_dataset,
     simulate_dataset,
@@ -47,7 +48,6 @@ from .states import (
     frobenius_norm,
     ghz,
     load_state,
-    maximally_mixed,
     mixture,
     nearest_density,
     operator_norm,
@@ -55,7 +55,6 @@ from .states import (
     pauli_expand,
     project_simplex,
     save_state,
-    trace_norm,
     w_state,
 )
 
@@ -72,8 +71,8 @@ __all__ = [
     "RankPenalizedFit",
     "SpectralDecomposition",
     "diag_state",
+    "draw_dataset",
     "empirical_frequencies",
-    "exact_frequencies",
     "frobenius_norm",
     "ghz",
     "hoeffding_radius",
@@ -81,13 +80,13 @@ __all__ = [
     "linear_estimator",
     "load_dataset",
     "load_state",
-    "maximally_mixed",
     "mixture",
     "nearest_density",
     "nu_bootstrap",
     "nu_oracle",
     "nu_theory",
     "operator_norm",
+    "outcome_law",
     "pauli_assemble",
     "pauli_expand",
     "penalized_fit",
@@ -100,7 +99,6 @@ __all__ = [
     "simulate_dataset",
     "spectral",
     "penalized_error_bound",
-    "trace_norm",
     "trace_norm_factor",
     "truncate",
     "variance_bound",

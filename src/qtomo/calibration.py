@@ -86,8 +86,14 @@ class PenaltyChoice:
         return cls(mode, value, theta, eps, reps)
 
 
-def nu_oracle(est: inversion.LinearEstimate, rho_true: np.ndarray) -> float:
-    """Squared operator norm of the estimation error against the true state."""
+def nu_oracle(
+    est: inversion.LinearEstimate | rankpen.SpectralDecomposition, rho_true: np.ndarray
+) -> float:
+    """Squared operator norm of the estimation error against the true state.
+
+    ``est`` is the linear estimate or its ``rankpen.spectral`` decomposition;
+    only its matrix is read.
+    """
     rho_true = np.asarray(rho_true, dtype=complex)
     if rho_true.shape != est.matrix.shape:
         raise ValueError(
@@ -125,68 +131,71 @@ def nu_theory(n: int, m: int, theta: float = 0.0, eps: float = 1.0) -> float:
 
 
 def bootstrap_norms(
-    est: inversion.LinearEstimate, m: int, reps: int, seed
+    dec: rankpen.SpectralDecomposition, m: int, reps: int, seed
 ) -> np.ndarray:
     """Operator norms of synthetic estimation errors, one per repetition.
 
-    Projects the estimate to a physical state, re-simulates ``reps``
-    datasets of the same size from its outcome law (built and checked once),
-    inverts each, and records the operator norm of (synthetic estimate -
-    physical state). The repetitions are drawn one stream each and inverted
-    in stacked batches of at most ``BATCH_CELLS`` table cells; each norm has
-    the bits of its repetition inverted alone.
+    Projects the estimate, given by its ``rankpen.spectral`` decomposition,
+    to a physical state, re-simulates ``reps`` datasets of the same size from
+    its outcome law (built and checked once), inverts each, and records the
+    operator norm of (synthetic estimate - physical state). The repetitions
+    are drawn one stream each and inverted in stacked batches of at most
+    ``BATCH_CELLS`` table cells; each norm has the bits of its repetition
+    inverted alone.
     """
     if reps < 2:
         raise ValueError(f"bootstrap needs reps >= 2, got {reps}")
-    dec = rankpen.spectral(est)
     sigma = states.nearest_density(dec.eigenvalues, dec.vectors)
-    law = measurement._outcome_law(measurement.probability_table(sigma), m)
-    size = max(1, BATCH_CELLS // 6**est.n)
+    law = measurement.outcome_law(sigma)
+    size = max(1, BATCH_CELLS // law.size)
     norms = []
     for start in range(0, reps, size):
-        ds = measurement.Dataset(n=est.n, m=m, counts=np.stack([
-            measurement._draw_counts(law, m, measurement.stream(seed, j))
-            for j in range(start, min(start + size, reps))
-        ]))
+        ds = measurement.draw_dataset(
+            law, m, [measurement.stream(seed, j) for j in range(start, min(start + size, reps))]
+        )
         synth = inversion.linear_estimator(measurement.empirical_frequencies(ds))
         norms.append(states.operator_norm(synth.matrix - sigma))
     return np.concatenate(norms)
 
 
-def nu_bootstrap(est: inversion.LinearEstimate, m: int, reps: int, seed) -> float:
+def nu_bootstrap(dec: rankpen.SpectralDecomposition, m: int, reps: int, seed) -> float:
     """Bootstrap estimate of the oracle penalty: the squared mean of ``bootstrap_norms``."""
-    return resolve_penalty(PenaltyChoice("bootstrap", reps=reps), est, m, seed)[0]
+    return resolve_penalty(PenaltyChoice("bootstrap", reps=reps), dec, m, seed)[0]
 
 
 def resolve_penalty(
     choice: PenaltyChoice,
-    est: inversion.LinearEstimate | measurement.Dataset,
+    dec: rankpen.SpectralDecomposition | measurement.Dataset,
     m: int,
     seed,
     rho_true: np.ndarray | None = None,
 ) -> tuple[float, dict]:
     """Evaluate a penalty choice; returns (nu, details for the report).
 
-    ``est`` is the linear estimate, or the dataset it is inverted from: only
+    ``dec`` is the ``rankpen.spectral`` decomposition of the linear estimate,
+    the one its fit reads, or the dataset the estimate is inverted from: only
     the oracle and bootstrap modes read the estimate, so only they invert a
-    dataset. ``seed`` (an int or a SeedSequence) drives the bootstrap draws
-    and is ignored by the other modes.
+    dataset, and only the bootstrap decomposes it. ``seed`` (an int or a
+    SeedSequence) drives the bootstrap draws and is ignored by the other modes.
     """
     if choice.mode == "fixed":
         return float(choice.value), {}
     if choice.mode == "theory":
-        return nu_theory(est.n, m, choice.theta, choice.eps), {
+        return nu_theory(dec.n, m, choice.theta, choice.eps), {
             "theta": choice.theta,
             "eps": choice.eps,
         }
     if choice.mode == "oracle" and rho_true is None:
         raise ConfigError("oracle penalty needs the true state")
-    if isinstance(est, measurement.Dataset):
-        est = inversion.linear_estimator(measurement.empirical_frequencies(est))
+    if isinstance(dec, measurement.Dataset):
+        est = inversion.linear_estimator(measurement.empirical_frequencies(dec))
+        if choice.mode == "oracle":
+            return nu_oracle(est, rho_true), {}
+        dec = rankpen.spectral(est)
     if choice.mode == "oracle":
-        return nu_oracle(est, rho_true), {}
+        return nu_oracle(dec, rho_true), {}
     # bootstrap
-    norms = bootstrap_norms(est, m, choice.reps, seed)
+    norms = bootstrap_norms(dec, m, choice.reps, seed)
     return float(np.mean(norms) ** 2), {
         "norms": [float(x) for x in norms],
         "reps": choice.reps,

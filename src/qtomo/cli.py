@@ -86,11 +86,12 @@ def _penalty_inputs(args):
 
 
 def _estimate_with_penalty(args):
-    """Linear estimate of the dataset file and its penalty: (est, nu, details, mode)."""
+    """The linear estimate's one spectral decomposition and its penalty: (dec, nu, mode)."""
     choice, rho_true, dataset = _penalty_inputs(args)
     est = inversion.linear_estimator(measurement.empirical_frequencies(dataset))
-    nu, details = calibration.resolve_penalty(choice, est, dataset.m, args.seed, rho_true)
-    return est, nu, details, choice.mode
+    dec = rankpen.spectral(est)
+    nu, _details = calibration.resolve_penalty(choice, dec, dataset.m, args.seed, rho_true)
+    return dec, nu, choice.mode
 
 
 def _write_csv(path, header, rows) -> None:
@@ -124,8 +125,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    est, nu, _details, mode = _estimate_with_penalty(args)
-    fit = rankpen.penalized_fit(est, nu)
+    dec, nu, mode = _estimate_with_penalty(args)
+    fit = rankpen.penalized_fit(dec, nu)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "fit.json", rankpen.fit_report_dict(fit))
@@ -174,10 +175,10 @@ def cmd_error_study(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    est, nu, _details, _mode = _estimate_with_penalty(args)
+    dec, nu, _mode = _estimate_with_penalty(args)
     rows = [
         [r["index"], r["singular_value"], r["threshold"]]
-        for r in studies.spectrum_rows(est, nu)
+        for r in studies.spectrum_rows(dec, nu)
     ]
     _write_csv(args.out, SPECTRUM_HEADER, rows)
     above = sum(1 for r in rows if r[1] >= r[2])

@@ -45,8 +45,7 @@ class Dataset:
 
     def __post_init__(self):
         pauli.check_qubits(self.n)
-        if self.m < 1:
-            raise ValueError(f"repetition count m={self.m} must be >= 1")
+        _check_repetitions(self.m)
         self.counts = np.asarray(self.counts, dtype=np.int64)
         expected = (3**self.n, 2**self.n)
         if self.counts.shape[-2:] != expected:
@@ -102,12 +101,6 @@ def probability_table(rho: np.ndarray) -> np.ndarray:
     return _kernels.table_from_coeffs(coeffs, n)
 
 
-def exact_frequencies(rho: np.ndarray) -> EmpiricalFrequencies:
-    """The noiseless frequency object: probability_table wrapped as frequencies."""
-    n = states.qubit_count(rho)
-    return EmpiricalFrequencies(n=n, values=probability_table(rho))
-
-
 def stream(seed, *key: int) -> np.random.SeedSequence:
     """Stream ``key`` under ``seed``: ``SeedSequence(seed, spawn_key=key)``.
 
@@ -126,22 +119,21 @@ def simulate_dataset(rho: np.ndarray, m: int, seed) -> Dataset:
     """Draw m outcomes for each of the 3^n settings from the exact law.
 
     ``seed`` (an int or a SeedSequence) is the one stream all settings use.
+    A bad ``m`` is reported before a non-physical state.
+    """
+    _check_repetitions(m)
+    return draw_dataset(outcome_law(rho), m, seed)
+
+
+def outcome_law(rho: np.ndarray) -> np.ndarray:
+    """The sampling law of a state: its ``probability_table``, rows clipped and normalized.
+
     Probabilities within 1e-12 of [0, 1] are clipped; larger violations
-    indicate a non-physical input and raise.
+    indicate a non-physical input and raise. Callers that sample one state
+    many times (the bootstrap, the studies) build the law once and pass it
+    to ``draw_dataset`` for every draw.
     """
-    law = _outcome_law(probability_table(rho), m)
-    return Dataset(n=states.qubit_count(rho), m=m, counts=_draw_counts(law, m, seed))
-
-
-def _outcome_law(table: np.ndarray, m: int) -> np.ndarray:
-    """The sampling law of a ``probability_table``: each row clipped and normalized.
-
-    Checks ``m`` first, then that every probability lies within 1e-12 of
-    [0, 1]. Callers that sample one state many times (the bootstrap) build
-    the law once and pass it to ``_draw_counts`` for every draw.
-    """
-    if m < 1:
-        raise ValueError(f"repetition count m={m} must be >= 1")
+    table = probability_table(rho)
     if table.min() < -_PROB_CLIP or table.max() > 1.0 + _PROB_CLIP:
         raise ValueError(
             f"outcome probabilities outside [0, 1] (min {table.min():.3e}, "
@@ -151,9 +143,24 @@ def _outcome_law(table: np.ndarray, m: int) -> np.ndarray:
     return table / table.sum(axis=1, keepdims=True)
 
 
-def _draw_counts(law: np.ndarray, m: int, seed) -> np.ndarray:
-    """The counts of m outcomes per setting: a single multinomial draw from ``law``."""
-    return np.random.default_rng(seed).multinomial(m, law)
+def draw_dataset(law: np.ndarray, m: int, seed) -> Dataset:
+    """m outcomes per setting from an ``outcome_law``: one multinomial draw per stream.
+
+    ``seed`` is one stream (an int or a SeedSequence), which gives one
+    dataset, or a list of streams, which gives a stack of datasets in that
+    order; each dataset of the stack has the bits of its stream drawn alone.
+    """
+    _check_repetitions(m)
+    if isinstance(seed, list):
+        counts = np.stack([np.random.default_rng(s).multinomial(m, law) for s in seed])
+    else:
+        counts = np.random.default_rng(seed).multinomial(m, law)
+    return Dataset(n=law.shape[-1].bit_length() - 1, m=m, counts=counts)
+
+
+def _check_repetitions(m: int) -> None:
+    if m < 1:
+        raise ValueError(f"repetition count m={m} must be >= 1")
 
 
 def empirical_frequencies(dataset: Dataset) -> EmpiricalFrequencies:
@@ -183,8 +190,12 @@ def dataset_from_dict(obj) -> Dataset:
     entries = obj["counts"]
     if not isinstance(entries, list):
         raise FormatError("counts", "expected a list")
-    setting_of = {a: s for s, a in enumerate(pauli.all_settings(n))}
-    outcome_of = {r: o for o, r in enumerate(pauli.all_outcomes(n))}
+    # Fewer entries than settings cannot give every setting m >= 1 counts.
+    # Such a list is checked entry by entry (the empty maps miss every
+    # lookup), and nothing of size 3^n is built before it fails.
+    short = len(entries) < 3**n
+    setting_of = {} if short else {a: s for s, a in enumerate(pauli.all_settings(n))}
+    outcome_of = {} if short else {r: o for o, r in enumerate(pauli.all_outcomes(n))}
     width = 2**n
     cells, values = [], []
     for i, entry in enumerate(entries):
@@ -208,6 +219,11 @@ def dataset_from_dict(obj) -> Dataset:
     cells = np.array(cells, dtype=np.int64)
     values = np.array(values, dtype=np.int64)
     _check_duplicates(entries, cells)
+    if short:
+        bad, total = _first_short_setting(cells // width, values, m)
+        raise FormatError(
+            "counts", f"setting {pauli.setting_at(n, bad)!r} sums to {total}, expected m={m}"
+        )
     # Row sums come from the entries, so a dataset that misses a setting
     # fails before the (3^n, 2^n) table is allocated.
     sums = np.zeros(3**n, dtype=np.int64)
@@ -221,6 +237,21 @@ def dataset_from_dict(obj) -> Dataset:
     counts = np.zeros(3**n * width, dtype=np.int64)
     counts[cells] = values
     return Dataset(n=n, m=m, counts=counts.reshape(3**n, width))
+
+
+def _first_short_setting(settings: np.ndarray, values: np.ndarray, m: int) -> tuple[int, int]:
+    """(index, sum) of the first setting not summing to m, given fewer entries than settings.
+
+    Some setting then has no entry and sums to 0, so only the settings the
+    entries name, up to the first absent one, need a sum.
+    """
+    named, where = np.unique(settings, return_inverse=True)
+    sums = np.zeros(named.size, dtype=np.int64)
+    np.add.at(sums, where, values)
+    gaps = np.nonzero(named != np.arange(named.size))[0]
+    absent = int(gaps[0]) if gaps.size else named.size
+    wrong = np.nonzero((sums != m) & (named < absent))[0]
+    return (int(named[wrong[0]]), int(sums[wrong[0]])) if wrong.size else (absent, 0)
 
 
 def _entry_cell(i: int, entry, n: int) -> tuple[int, int, int]:

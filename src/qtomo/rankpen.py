@@ -30,15 +30,21 @@ def _matrix_of(est) -> np.ndarray:
 
 @dataclass
 class SpectralDecomposition:
-    """Eigensystem ordered by decreasing absolute eigenvalue.
+    """A Hermitian matrix with its eigensystem, ordered by decreasing absolute eigenvalue.
 
     For a Hermitian matrix the singular values are the absolute eigenvalues,
-    so one symmetric eigensolve provides both.
+    so one symmetric eigensolve provides both. The fit, the spectrum and
+    every penalty read the linear estimate through its one decomposition.
     """
 
+    matrix: np.ndarray  # (2^n, 2^n) the decomposed matrix
     singular_values: np.ndarray  # (dim,) non-negative, decreasing
     eigenvalues: np.ndarray  # (dim,) signed, same order
     vectors: np.ndarray  # (dim, dim) orthonormal columns, same order
+
+    @property
+    def n(self) -> int:
+        return states.qubit_count(self.matrix)
 
 
 @dataclass
@@ -77,6 +83,7 @@ def spectral(est) -> SpectralDecomposition:
     w, v = np.linalg.eigh(matrix)
     order = np.argsort(-np.abs(w), kind="stable")
     return SpectralDecomposition(
+        matrix=matrix,
         singular_values=np.abs(w)[order],
         eigenvalues=w[order],
         vectors=v[:, order],
@@ -107,9 +114,12 @@ def select_rank_threshold(dec: SpectralDecomposition, nu: float) -> int:
     return int(np.count_nonzero(dec.singular_values >= np.sqrt(nu)))
 
 
-def penalized_fit(est, nu: float) -> RankPenalizedFit:
-    """Select the rank with ``select_rank_threshold``; build both estimates from one eigensolve."""
-    dec = spectral(est)
+def penalized_fit(dec: SpectralDecomposition, nu: float) -> RankPenalizedFit:
+    """Select the rank with ``select_rank_threshold``; build both estimates from ``dec``.
+
+    ``dec`` is the ``spectral`` decomposition of the linear estimate, the one
+    its penalty reads too, so a fit and its penalty share one eigensolve.
+    """
     k_hat = select_rank_threshold(dec, nu)
     objective = _tail_sums(dec.singular_values) + nu * np.arange(dec.singular_values.size + 1)
     physical_rank = max(k_hat, 1)

@@ -107,11 +107,6 @@ def operator_norm(matrix: np.ndarray) -> float | np.ndarray:
     return float(norms) if norms.ndim == 0 else norms
 
 
-def trace_norm(matrix: np.ndarray) -> float:
-    """Sum of absolute eigenvalues (Hermitian input)."""
-    return float(np.abs(np.linalg.eigvalsh(matrix)).sum())
-
-
 # ---------------------------------------------------------------------------
 # Pauli expansion
 # ---------------------------------------------------------------------------
@@ -200,12 +195,6 @@ def mixture(n: int, d: int, p: float) -> np.ndarray:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"mixture weight p={p} out of [0, 1]")
     return p * ghz(n) + (1.0 - p) * diag_state(n, d)
-
-
-def maximally_mixed(n: int) -> np.ndarray:
-    pauli.check_qubits(n)
-    dim = 2**n
-    return np.eye(dim, dtype=complex) / dim
 
 
 # ---------------------------------------------------------------------------

@@ -45,8 +45,9 @@ def rank_study(
 ) -> tuple[list[StudyRecord], list[dict]]:
     """Frequency of recovering the true rank of diagonal test states.
 
-    For each d, simulates ``reps`` datasets from the rank-d diagonal state,
-    inverts each, and selects a rank per penalty mode. Each mode is a
+    For each d, draws ``reps`` datasets from the outcome law of the rank-d
+    diagonal state (built once per d), inverts and decomposes each once, and
+    selects a rank per penalty mode from that decomposition. Each mode is a
     ``PenaltyChoice.parse`` token, reported as given; all are parsed before
     the first simulation. Aggregates report, per (d, mode): the selection
     frequency, the mean penalty, and the mean operator-norm error of the
@@ -66,8 +67,9 @@ def rank_study(
     records: list[StudyRecord] = []
     for d in d_values:
         rho = states.diag_state(n, d)
+        law = measurement.outcome_law(rho)
         for rep in range(reps):
-            ds = measurement.simulate_dataset(rho, m, measurement.stream(seed, 0, d, rep))
+            ds = measurement.draw_dataset(law, m, measurement.stream(seed, 0, d, rep))
             est = inversion.linear_estimator(measurement.empirical_frequencies(ds))
             dec = rankpen.spectral(est)
             diff = est.matrix - rho
@@ -75,7 +77,7 @@ def rank_study(
             frob_error = states.frobenius_norm(diff)
             for mode, choice in choices:
                 nu, _details = calibration.resolve_penalty(
-                    choice, est, m, measurement.stream(seed, 1, d, rep), rho_true=rho
+                    choice, dec, m, measurement.stream(seed, 1, d, rep), rho_true=rho
                 )
                 k_hat = rankpen.select_rank_threshold(dec, nu)
                 records.append(
@@ -115,11 +117,10 @@ def error_study(
     records: list[StudyRecord] = []
     for d in d_values:
         rho = states.diag_state(n, d)
+        law = measurement.outcome_law(rho)
         for m in m_values:
             for rep in range(reps):
-                ds = measurement.simulate_dataset(
-                    rho, m, measurement.stream(seed, 0, d, m, rep)
-                )
+                ds = measurement.draw_dataset(law, m, measurement.stream(seed, 0, d, m, rep))
                 est = inversion.linear_estimator(
                     measurement.empirical_frequencies(ds)
                 )
@@ -146,9 +147,8 @@ def error_study(
     return records, aggregates
 
 
-def spectrum_rows(est, nu: float) -> list[dict]:
-    """Singular values in increasing order next to the constant threshold."""
-    dec = rankpen.spectral(est)
+def spectrum_rows(dec: rankpen.SpectralDecomposition, nu: float) -> list[dict]:
+    """Singular values of a ``rankpen.spectral`` decomposition, increasing, beside sqrt(nu)."""
     thr = float(np.sqrt(nu))
     values = dec.singular_values[::-1]
     return [

@@ -72,6 +72,16 @@ def reference_square_rows(rows, key: str, dim: int) -> np.ndarray:
     return out
 
 
+def maximally_mixed(n: int) -> np.ndarray:
+    """The n-qubit state I / 2^n."""
+    return np.eye(2**n, dtype=complex) / 2**n
+
+
+def trace_norm(matrix: np.ndarray) -> float:
+    """Sum of absolute eigenvalues (Hermitian input)."""
+    return float(np.abs(np.linalg.eigvalsh(matrix)).sum())
+
+
 def label_degrees(n: int) -> np.ndarray:
     """Identity counts d(b) of every label b, in label order ("ixyz", qubit 1 leftmost)."""
     return np.array([b.count("i") for b in itertools.product("ixyz", repeat=n)], dtype=np.int64)

@@ -32,6 +32,7 @@ import pytest
 from conftest import (
     ReferenceTomography,
     label_degrees,
+    maximally_mixed,
     random_hermitian,
     reference_diag_state,
     reference_scan_rank,
@@ -75,7 +76,7 @@ def test_criterion_01_exact_inversion_identity():
         for _name, rho in _example_states(n):
             # exact frequencies from the package's forward map and from the
             # reference's projector traces must both invert to the state
-            for freqs in (measurement.exact_frequencies(rho),
+            for freqs in (measurement.EmpiricalFrequencies(n, measurement.probability_table(rho)),
                           measurement.EmpiricalFrequencies(n, ref.probabilities(rho))):
                 est = inversion.linear_estimator(freqs)
                 worst = max(worst, float(np.linalg.norm(est.matrix - rho)))
@@ -273,7 +274,7 @@ def test_criterion_07_concentration():
 
 def test_criterion_08_variance_bound():
     n, m, reps = 2, 200, 1000
-    rho = states.maximally_mixed(n)
+    rho = maximally_mixed(n)
     samples = np.empty((reps, 4**n))
     for rep in range(reps):
         ds = measurement.simulate_dataset(rho, m, np.random.SeedSequence(2, spawn_key=(rep,)))
@@ -350,7 +351,7 @@ def test_criterion_11_oracle_inequality():
         ds = measurement.simulate_dataset(rho, m, np.random.SeedSequence(5, spawn_key=(rep,)))
         est = inversion.linear_estimator(measurement.empirical_frequencies(ds))
         nu = (1.0 + theta) * calibration.nu_oracle(est, rho)
-        fit = rankpen.penalized_fit(est, nu)
+        fit = rankpen.penalized_fit(rankpen.spectral(est), nu)
         err = np.linalg.norm(fit.estimate - rho) ** 2
         if err > rankpen.penalized_error_bound(rho, nu, theta) + 1e-12:
             violations += 1

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qtomo import calibration, inversion, measurement, states
+from conftest import maximally_mixed
+from qtomo import calibration, inversion, measurement, rankpen, states
 from qtomo.errors import ConfigError
 
 
@@ -53,28 +54,31 @@ def test_nu_theory_scaling_and_ranges():
 def test_nu_bootstrap_deterministic():
     ds = measurement.simulate_dataset(states.diag_state(2, 2), 60, 5)
     est = inversion.linear_estimator(measurement.empirical_frequencies(ds))
-    a = calibration.nu_bootstrap(est, 60, 8, 123)
-    b = calibration.nu_bootstrap(est, 60, 8, 123)
-    c = calibration.nu_bootstrap(est, 60, 8, 124)
+    dec = rankpen.spectral(est)
+    a = calibration.nu_bootstrap(dec, 60, 8, 123)
+    b = calibration.nu_bootstrap(dec, 60, 8, 123)
+    c = calibration.nu_bootstrap(dec, 60, 8, 124)
     assert a == b
     assert a != c
     with pytest.raises(ValueError):
-        calibration.nu_bootstrap(est, 60, 1, 123)
+        calibration.nu_bootstrap(dec, 60, 1, 123)
 
 
 def test_nu_bootstrap_repeats_for_one_seed_sequence_object():
     ds = measurement.simulate_dataset(states.diag_state(2, 2), 100, 5)
     est = inversion.linear_estimator(measurement.empirical_frequencies(ds))
+    dec = rankpen.spectral(est)
     ss = np.random.SeedSequence(6)
-    first = calibration.nu_bootstrap(est, 100, 5, ss)
-    assert calibration.nu_bootstrap(est, 100, 5, ss) == first
-    assert calibration.nu_bootstrap(est, 100, 5, np.random.SeedSequence(6)) == first
+    first = calibration.nu_bootstrap(dec, 100, 5, ss)
+    assert calibration.nu_bootstrap(dec, 100, 5, ss) == first
+    assert calibration.nu_bootstrap(dec, 100, 5, np.random.SeedSequence(6)) == first
 
 
 def test_nu_bootstrap_vanishes_with_many_repetitions():
-    est = _estimate_of(states.maximally_mixed(1))
-    small_m = calibration.nu_bootstrap(est, 100, 10, 3)
-    large_m = calibration.nu_bootstrap(est, 4000, 10, 3)
+    est = _estimate_of(maximally_mixed(1))
+    dec = rankpen.spectral(est)
+    small_m = calibration.nu_bootstrap(dec, 100, 10, 3)
+    large_m = calibration.nu_bootstrap(dec, 4000, 10, 3)
     assert large_m < small_m
     assert large_m < 0.01
 
@@ -91,7 +95,8 @@ def test_nu_bootstrap_tracks_oracle_within_factor_three():
 
     ds = measurement.simulate_dataset(rho, m, np.random.SeedSequence(11))
     est = inversion.linear_estimator(measurement.empirical_frequencies(ds))
-    boot = calibration.nu_bootstrap(est, m, 20, 13)
+    dec = rankpen.spectral(est)
+    boot = calibration.nu_bootstrap(dec, m, 20, 13)
     assert truth / 3.0 <= boot <= truth * 3.0
 
 
@@ -188,32 +193,45 @@ def test_resolve_penalty_modes():
     rho = states.diag_state(2, 2)
     ds = measurement.simulate_dataset(rho, 50, 29)
     est = inversion.linear_estimator(measurement.empirical_frequencies(ds))
+    dec = rankpen.spectral(est)
 
     nu, details = calibration.resolve_penalty(
-        calibration.PenaltyChoice(mode="fixed", value=0.2), est, 50, 0
+        calibration.PenaltyChoice(mode="fixed", value=0.2), dec, 50, 0
     )
     assert nu == 0.2 and details == {}
 
     nu, _ = calibration.resolve_penalty(
-        calibration.PenaltyChoice(mode="oracle"), est, 50, 0, rho_true=rho
+        calibration.PenaltyChoice(mode="oracle"), dec, 50, 0, rho_true=rho
     )
-    assert abs(nu - calibration.nu_oracle(est, rho)) < 1e-15
+    assert nu == calibration.nu_oracle(est, rho)
 
     with pytest.raises(ConfigError, match="true state"):
-        calibration.resolve_penalty(calibration.PenaltyChoice(mode="oracle"), est, 50, 0)
+        calibration.resolve_penalty(calibration.PenaltyChoice(mode="oracle"), dec, 50, 0)
 
     nu, details = calibration.resolve_penalty(
-        calibration.PenaltyChoice(mode="theory", theta=0.0, eps=1.0), est, 50, 0
+        calibration.PenaltyChoice(mode="theory", theta=0.0, eps=1.0), dec, 50, 0
     )
     assert abs(nu - calibration.nu_theory(2, 50)) < 1e-15
     assert details == {"theta": 0.0, "eps": 1.0}
 
     nu, details = calibration.resolve_penalty(
-        calibration.PenaltyChoice(mode="bootstrap", reps=6), est, 50, 31
+        calibration.PenaltyChoice(mode="bootstrap", reps=6), dec, 50, 31
     )
     assert len(details["norms"]) == 6
     assert abs(nu - float(np.mean(details["norms"])) ** 2) < 1e-12
-    assert nu == calibration.nu_bootstrap(est, 50, 6, 31)
+    assert nu == calibration.nu_bootstrap(dec, 50, 6, 31)
+
+
+@pytest.mark.parametrize("penalty", ["oracle", "theory", "bootstrap", "fixed:0.3"])
+def test_resolve_penalty_gives_the_same_bits_from_the_dataset(penalty):
+    # calibrate passes the dataset, estimate the decomposition of its inverse
+    rho = states.mixture(3, 2, 0.3)
+    ds = measurement.simulate_dataset(rho, 40, 47)
+    dec = rankpen.spectral(inversion.linear_estimator(measurement.empirical_frequencies(ds)))
+    choice = calibration.PenaltyChoice.parse(penalty, theta=0.5, eps=0.2, reps=4)
+    assert calibration.resolve_penalty(choice, ds, 40, 53, rho) == calibration.resolve_penalty(
+        choice, dec, 40, 53, rho
+    )
 
 
 def test_calibration_report_dict():
@@ -224,12 +242,13 @@ def test_calibration_report_dict():
 def test_bootstrap_norms_match_per_repetition_simulation(monkeypatch):
     ds = measurement.simulate_dataset(states.mixture(3, 2, 0.3), 50, 17)
     est = inversion.linear_estimator(measurement.empirical_frequencies(ds))
+    dec = rankpen.spectral(est)
     calls = []
     table = measurement.probability_table
     monkeypatch.setattr(
         measurement, "probability_table", lambda rho: calls.append(1) or table(rho)
     )
-    norms = calibration.bootstrap_norms(est, 50, 4, 99)
+    norms = calibration.bootstrap_norms(dec, 50, 4, 99)
     monkeypatch.undo()
     assert len(calls) == 1
 
@@ -246,12 +265,13 @@ def test_bootstrap_norms_match_per_repetition_simulation(monkeypatch):
 def test_bootstrap_norms_build_the_outcome_law_once(monkeypatch):
     ds = measurement.simulate_dataset(states.mixture(2, 1, 0.2), 40, 3)
     est = inversion.linear_estimator(measurement.empirical_frequencies(ds))
+    dec = rankpen.spectral(est)
     calls = []
-    law = measurement._outcome_law
+    law = measurement.outcome_law
     monkeypatch.setattr(
-        measurement, "_outcome_law", lambda *a: calls.append(1) or law(*a)
+        measurement, "outcome_law", lambda *a: calls.append(1) or law(*a)
     )
-    assert calibration.bootstrap_norms(est, 40, 5, 8).shape == (5,)
+    assert calibration.bootstrap_norms(dec, 40, 5, 8).shape == (5,)
     assert len(calls) == 1
 
 
@@ -273,8 +293,9 @@ def test_bootstrap_batches_give_the_bits_of_a_per_repetition_loop(monkeypatch):
     reps = 2 * per_batch + 1  # two full batches and a partial one
     ds = measurement.simulate_dataset(states.mixture(n, 2, 0.4), m, 37)
     est = inversion.linear_estimator(measurement.empirical_frequencies(ds))
+    dec = rankpen.spectral(est)
     sizes = _batch_sizes(monkeypatch)
-    norms = calibration.bootstrap_norms(est, m, reps, seed)
+    norms = calibration.bootstrap_norms(dec, m, reps, seed)
     monkeypatch.undo()
     assert sizes == [per_batch, per_batch, 1]
 
@@ -294,8 +315,9 @@ def test_bootstrap_batches_hold_one_repetition_from_six_qubits(monkeypatch):
     assert calibration.BATCH_CELLS < 6**6
     ds = measurement.simulate_dataset(states.ghz(6), 20, 41)
     est = inversion.linear_estimator(measurement.empirical_frequencies(ds))
+    dec = rankpen.spectral(est)
     sizes = _batch_sizes(monkeypatch)
-    assert calibration.bootstrap_norms(est, 20, 3, 43).shape == (3,)
+    assert calibration.bootstrap_norms(dec, 20, 3, 43).shape == (3,)
     assert sizes == [1, 1, 1]
 
 
@@ -304,6 +326,7 @@ def test_bootstrap_norms_do_not_depend_on_the_repetition_count():
     # are the repetitions of a shorter one, bit for bit
     ds = measurement.simulate_dataset(states.mixture(3, 2, 0.3), 50, 23)
     est = inversion.linear_estimator(measurement.empirical_frequencies(ds))
-    short = calibration.bootstrap_norms(est, 50, 3, 29)
-    long = calibration.bootstrap_norms(est, 50, 5, 29)
+    dec = rankpen.spectral(est)
+    short = calibration.bootstrap_norms(dec, 50, 3, 29)
+    long = calibration.bootstrap_norms(dec, 50, 5, 29)
     assert short.tolist() == long[:3].tolist()

@@ -3,7 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from conftest import dataset_to_dict, state_to_dict
+from conftest import (
+    ReferenceTomography,
+    dataset_to_dict,
+    reference_physical_estimate,
+    state_to_dict,
+)
 from qtomo import inversion, measurement, states
 from qtomo.cli import main
 
@@ -90,21 +95,81 @@ def test_estimate_rank_zero_physical_state_follows_the_data(tmp_path):
     assert fidelity["ghz", "ghz"] > fidelity["ghz", "w"]
 
 
-@pytest.mark.parametrize(
-    "penalty, calls", [("theory", 1), ("fixed:0.01", 1), ("oracle", 1), ("bootstrap", 2)]
-)
-def test_estimate_eigensolves_once_per_fit(tmp_path, monkeypatch, penalty, calls):
-    # the fit builds both estimates from one eigh of the linear estimate; the
-    # bootstrap adds one for the physical state it re-simulates from
+def _count_eigh(monkeypatch) -> list:
+    """Record every ``numpy.linalg.eigh`` call from now on."""
+    eigh, counted = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: counted.append(1) or eigh(*a, **k))
+    return counted
+
+
+def _dataset_and_state(tmp_path):
     data, state = tmp_path / "data.json", tmp_path / "state.json"
     states.save_state(state, states.mixture(3, 2, 0.3))
     run("simulate", "--n", 3, "--m", 50, "--state", state, "--seed", 1, "--out", data)
-    eigh, counted = np.linalg.eigh, []
-    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: counted.append(1) or eigh(*a, **k))
+    return data, state
+
+
+@pytest.mark.parametrize("name, n", [("w", 4), ("ghz", 3)])
+def test_estimate_rank_zero_physical_state_clears_the_sampling_bound(tmp_path, name, n):
+    # At m = 100 the default theory penalty selects k_hat = 0, and the physical
+    # state is the top eigenvector of the linear estimate. Its fidelity with
+    # the truth must reach the 1 % quantile of that fidelity over 200 datasets
+    # that the reference model re-simulates and inverts. The old rank-0 answer
+    # |0...0> has fidelity <0...0|rho|0...0> (0 for W, 0.5 for GHZ), below it.
+    rho = {"w": states.w_state, "ghz": states.ghz}[name](n)
+    ref = ReferenceTomography(n)
+    counts = ref.sample_counts(rho, 100, 200, np.random.default_rng(11))
+    fidelities = [
+        np.trace(rho @ reference_physical_estimate(est, 1)).real
+        for est in ref.estimate(counts / 100)
+    ]
+    bound = np.quantile(fidelities, 0.01)
+    assert bound > rho[0, 0].real
+
+    data, out_dir = tmp_path / "data.json", tmp_path / "fit"
+    run("simulate", "--n", n, "--m", 100, "--state", name, "--seed", 7, "--out", data)
+    assert run("estimate", data, "--out", out_dir) == 0
+    assert json.loads((out_dir / "fit.json").read_text())["k_hat"] == 0
+    physical = states.load_state(out_dir / "physical_state.json")
+    assert np.trace(rho @ physical).real >= bound
+
+
+@pytest.mark.parametrize(
+    "penalty, calls", [("theory", 1), ("fixed:0.01", 1), ("oracle", 1), ("bootstrap", 1)]
+)
+def test_estimate_eigensolves_once_per_fit(tmp_path, monkeypatch, penalty, calls):
+    # the fit builds both estimates from one eigh of the linear estimate, and
+    # the bootstrap re-simulates from the physical state of that eigensystem
+    data, state = _dataset_and_state(tmp_path)
+    counted = _count_eigh(monkeypatch)
     code = run("estimate", data, "--penalty", penalty, "--state", state, "--reps", 3,
                "--out", tmp_path / "fit")
     assert code == 0
     assert len(counted) == calls
+
+
+@pytest.mark.parametrize("penalty", ["theory", "fixed:0.01", "oracle", "bootstrap"])
+def test_spectrum_and_calibrate_eigensolve_only_what_they_read(tmp_path, monkeypatch, penalty):
+    # spectrum reads the one eigensystem of the linear estimate with every
+    # penalty; calibrate decomposes the estimate only for the bootstrap
+    data, state = _dataset_and_state(tmp_path)
+    counted = _count_eigh(monkeypatch)
+    flags = ("--penalty", penalty, "--state", state, "--reps", 3)
+    assert run("spectrum", data, *flags, "--out", tmp_path / "spectrum.csv") == 0
+    assert len(counted) == 1
+    assert run("calibrate", data, *flags, "--out", tmp_path / "calibrate.json") == 0
+    assert len(counted) == 1 + (penalty == "bootstrap")
+
+
+def test_rank_study_eigensolves_once_per_dataset(tmp_path, monkeypatch):
+    # every mode, the bootstrap's sigma included, reads the one eigensystem
+    # of each (d, rep) linear estimate
+    counted = _count_eigh(monkeypatch)
+    code = run("rank-study", "--n", 2, "--m", 40, "--d", "1,2,3", "--penalty",
+               "oracle,theory,bootstrap,0.1", "--reps", 2, "--bootstrap-reps", 3,
+               "--out", tmp_path / "study.csv")
+    assert code == 0
+    assert len(counted) == 3 * 2
 
 
 def test_estimate_missing_file_exit_3(tmp_path):
@@ -231,10 +296,11 @@ def test_rank_study_bare_number_mode(tmp_path):
 @pytest.mark.parametrize("bad", ["fixed:-1", "fixed:x", "magic", "fixed:nan"])
 def test_rank_study_bad_mode_exit_2_before_simulating(tmp_path, monkeypatch, bad):
     calls = []
-    simulate = measurement.simulate_dataset
-    monkeypatch.setattr(
-        measurement, "simulate_dataset", lambda *a: calls.append(1) or simulate(*a)
-    )
+    for name in ("outcome_law", "draw_dataset"):
+        monkeypatch.setattr(
+            measurement, name,
+            lambda *a, f=getattr(measurement, name): calls.append(1) or f(*a),
+        )
     out = tmp_path / "study.csv"
     code = run("rank-study", "--n", 2, "--m", 60, "--d", "1,2", "--penalty",
                f"theory,{bad}", "--reps", 2, "--out", out)

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import ReferenceTomography, dataset_to_dict, random_density
+from conftest import ReferenceTomography, dataset_to_dict, maximally_mixed, random_density
 from qtomo import _kernels, measurement, pauli, states
 from qtomo.errors import FormatError
 
@@ -20,7 +20,7 @@ def _probability(rho: np.ndarray, setting: str, outcome: str) -> float:
 
 def test_outcome_probability_maximally_mixed():
     for n in (1, 2):
-        table = measurement.probability_table(states.maximally_mixed(n))
+        table = measurement.probability_table(maximally_mixed(n))
         assert np.abs(table - 1.0 / 2**n).max() < 1e-12
 
 
@@ -66,7 +66,7 @@ def test_probability_table_matches_trace_oracle(n):
 
 
 def test_probability_table_examples():
-    table = measurement.probability_table(states.maximally_mixed(1))
+    table = measurement.probability_table(maximally_mixed(1))
     assert np.allclose(table, 0.5, atol=1e-15)
     assert table.shape == (3, 2)
 
@@ -132,7 +132,7 @@ def test_simulate_counts_invariant():
 
 def test_simulate_binomial_consistency():
     # fair coin per setting: frequencies within 5 standard errors of 1/2
-    ds = measurement.simulate_dataset(states.maximally_mixed(1), 10000, 11)
+    ds = measurement.simulate_dataset(maximally_mixed(1), 10000, 11)
     freqs = measurement.empirical_frequencies(ds)
     se = np.sqrt(0.25 / 10000)
     assert np.abs(freqs.values - 0.5).max() < 5 * se
@@ -353,6 +353,17 @@ def test_malformed_entry_path_and_message(entry, path, message):
     assert str(err.value) == f"{path}: {message}"
 
 
+@pytest.mark.parametrize("entry,path,message", MALFORMED_ENTRIES)
+def test_malformed_entry_in_a_full_list_path_and_message(entry, path, message):
+    # with an entry for every setting the loader takes its lookup-map path,
+    # and reports the same first error as for a short list
+    full = [_entry(a, "--", 0) for a in pauli.all_settings(2)]
+    with pytest.raises(FormatError) as err:
+        measurement.dataset_from_dict(_two_qubit_doc(entry, _entry(setting="yy"), *full))
+    assert err.value.path == path
+    assert str(err.value) == f"{path}: {message}"
+
+
 def test_duplicate_reported_before_later_bad_count():
     obj = _two_qubit_doc(_entry(), _entry(setting="xx", outcome="++"), _entry(count=-1))
     with pytest.raises(FormatError) as err:
@@ -382,6 +393,7 @@ def test_count_beyond_int64_is_a_format_error():
         ([_entry("x", "+", 1)], "setting 'x' sums to 1, expected m=2"),
         ([_entry("z", "+", 2), _entry("y", "-", 3), _entry("x", "+", 2)],
          "setting 'y' sums to 3, expected m=2"),
+        ([_entry("x", "+", 2), _entry("z", "-", 1)], "setting 'y' sums to 0, expected m=2"),
     ],
 )
 def test_row_sum_error_names_first_bad_setting(entries, message):
@@ -403,3 +415,22 @@ def test_missing_settings_fail_before_the_table_is_allocated():
     assert err.value.path == "counts"
     assert str(err.value) == "counts: setting 'xxxxxxxxx' sums to 0, expected m=1"
     assert peak < 10 * 2**20
+
+
+@pytest.mark.parametrize(
+    "entries,setting",
+    [([], "xxxxxxxxxxxx"), ([_entry("x" * 12, "-" * 12, 1)], "xxxxxxxxxxxy")],
+)
+def test_a_short_counts_list_fails_before_anything_of_size_3_to_the_n(entries, setting):
+    # Fewer entries than the 3^12 settings cannot give each one m >= 1 counts;
+    # the setting map alone would take 72 MB.
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError) as err:
+            measurement.dataset_from_dict({"n": 12, "m": 1, "counts": entries})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.path == "counts"
+    assert str(err.value) == f"counts: setting {setting!r} sums to 0, expected m=1"
+    assert peak < 2 * 2**20

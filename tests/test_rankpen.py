@@ -5,6 +5,12 @@ from conftest import random_hermitian, reference_physical_estimate, reference_sc
 from qtomo import inversion, measurement, rankpen, states
 
 
+def _exact_frequencies(rho):
+    """The noiseless frequencies of a state: its probability table."""
+    n = states.qubit_count(rho)
+    return measurement.EmpiricalFrequencies(n, measurement.probability_table(rho))
+
+
 def test_spectral_diagonal_case():
     dec = rankpen.spectral(np.diag([0.5, 0.3, 0.2, 0.0]).astype(complex))
     assert np.allclose(dec.singular_values, [0.5, 0.3, 0.2, 0.0], atol=1e-12)
@@ -66,22 +72,22 @@ def test_non_finite_penalty_rejected(nu):
     with pytest.raises(ValueError, match="finite"):
         rankpen.select_rank_threshold(rankpen.spectral(rho), nu)
     with pytest.raises(ValueError, match="finite"):
-        rankpen.penalized_fit(rho, nu)
+        rankpen.penalized_fit(rankpen.spectral(rho), nu)
     with pytest.raises(ValueError, match="finite"):
         rankpen.penalized_error_bound(rho, nu, 1.0)
 
 
 def test_penalized_fit_exact_diag_state():
-    est = inversion.linear_estimator(measurement.exact_frequencies(states.diag_state(2, 2)))
-    fit = rankpen.penalized_fit(est, 0.01)
+    est = inversion.linear_estimator(_exact_frequencies(states.diag_state(2, 2)))
+    fit = rankpen.penalized_fit(rankpen.spectral(est), 0.01)
     assert fit.k_hat == 2
     assert np.linalg.norm(fit.estimate - est.matrix) < 1e-10
     states.require_density(fit.physical_estimate)
 
 
 def test_penalized_fit_penalty_dominates():
-    est = inversion.linear_estimator(measurement.exact_frequencies(states.diag_state(2, 2)))
-    fit = rankpen.penalized_fit(est, 0.3)  # above lambda_1^2 = 0.25
+    est = inversion.linear_estimator(_exact_frequencies(states.diag_state(2, 2)))
+    fit = rankpen.penalized_fit(rankpen.spectral(est), 0.3)  # above lambda_1^2 = 0.25
     assert fit.k_hat == 0
     assert np.linalg.norm(fit.estimate) < 1e-12
     assert fit.physical_rank == 1
@@ -92,7 +98,7 @@ def test_penalized_fit_objective_contents():
     rng = np.random.default_rng(97)
     h = random_hermitian(4, rng)
     nu = 0.37
-    fit = rankpen.penalized_fit(h, nu)
+    fit = rankpen.penalized_fit(rankpen.spectral(h), nu)
     lam2 = np.sort(np.abs(np.linalg.eigvalsh(h)))[::-1] ** 2
     for k in range(5):
         expected = float(lam2[k:].sum()) + nu * k
@@ -108,7 +114,7 @@ def test_scan_equals_threshold_on_random_inputs():
         top = dec.singular_values[0]
         for _ in range(5):
             nu = float(rng.uniform(0.0, (1.05 * top) ** 2))
-            assert rankpen.penalized_fit(h, nu).k_hat == reference_scan_rank(h, nu)
+            assert rankpen.penalized_fit(dec, nu).k_hat == reference_scan_rank(h, nu)
 
 
 @pytest.mark.parametrize("dim", [4, 8, 16])
@@ -118,15 +124,16 @@ def test_penalized_fit_selects_every_tied_value(dim):
     rng = np.random.default_rng(109 + dim)
     for _ in range(100):
         h = random_hermitian(dim, rng)
-        s = rankpen.spectral(h).singular_values
+        dec = rankpen.spectral(h)
+        s = dec.singular_values
         for sk in s:
-            assert rankpen.penalized_fit(h, float(sk) ** 2).k_hat == np.count_nonzero(s >= sk)
+            assert rankpen.penalized_fit(dec, float(sk) ** 2).k_hat == np.count_nonzero(s >= sk)
 
 
 def test_penalized_fit_estimate_rank():
     rng = np.random.default_rng(103)
     h = random_hermitian(8, rng)
-    fit = rankpen.penalized_fit(h, 1.0)
+    fit = rankpen.penalized_fit(rankpen.spectral(h), 1.0)
     sv = np.sort(np.abs(np.linalg.eigvalsh(fit.estimate)))[::-1]
     assert (sv[fit.k_hat:] < 1e-10).all()
 
@@ -186,8 +193,8 @@ def test_rank_recovery_dominates_error_tail():
 
 
 def test_fit_report_dict():
-    est = inversion.linear_estimator(measurement.exact_frequencies(states.ghz(2)))
-    fit = rankpen.penalized_fit(est, 0.01)
+    est = inversion.linear_estimator(_exact_frequencies(states.ghz(2)))
+    fit = rankpen.penalized_fit(rankpen.spectral(est), 0.01)
     report = rankpen.fit_report_dict(fit)
     assert set(report) == {"nu", "k_hat", "singular_values", "objective"}
     assert report["k_hat"] == 1
@@ -200,7 +207,7 @@ def test_physical_estimate_always_valid():
     for _ in range(10):
         h = random_hermitian(4, rng)
         nu = float(rng.uniform(0.0, 2.0))
-        fit = rankpen.penalized_fit(h, nu)
+        fit = rankpen.penalized_fit(rankpen.spectral(h), nu)
         states.require_density(fit.physical_estimate)
         rank = np.count_nonzero(np.linalg.eigvalsh(fit.physical_estimate) > 1e-10)
         assert rank <= fit.physical_rank
@@ -219,7 +226,7 @@ def test_physical_estimate_matches_the_reference(dim):
         s = np.sort(np.abs(w))[::-1]
         for nu in (1.01 * s[0]) ** 2, float(rng.uniform(s[-1], s[0])) ** 2, 0.0:
             k_hat = reference_scan_rank(h, nu)
-            fit = rankpen.penalized_fit(h, nu)
+            fit = rankpen.penalized_fit(rankpen.spectral(h), nu)
             assert fit.k_hat == k_hat
             expected = reference_physical_estimate(h, max(k_hat, 1))
             assert np.abs(fit.physical_estimate - expected).max() < 1e-12

@@ -7,10 +7,12 @@ import pytest
 from conftest import (
     ReferenceFormatError,
     ReferenceTomography,
+    maximally_mixed,
     random_density,
     random_hermitian,
     reference_square_rows,
     state_to_dict,
+    trace_norm,
 )
 from qtomo import pauli, states
 from qtomo.errors import FormatError
@@ -21,7 +23,7 @@ def test_expand_examples():
     assert np.allclose(c, [0.5, 0.0, 0.0, 0.5], atol=1e-12)
 
     for n in (1, 2, 3):
-        c = states.pauli_expand(states.maximally_mixed(n))
+        c = states.pauli_expand(maximally_mixed(n))
         expected = np.zeros(4**n)
         expected[0] = 1.0 / 2**n
         assert np.allclose(c, expected, atol=1e-12)
@@ -59,7 +61,7 @@ def test_assemble_examples():
     for n in (1, 2):
         c = np.zeros(4**n)
         c[0] = 1.0 / 2**n
-        assert np.allclose(states.pauli_assemble(c), states.maximally_mixed(n), atol=1e-14)
+        assert np.allclose(states.pauli_assemble(c), maximally_mixed(n), atol=1e-14)
     c = states.pauli_expand(np.diag([1.0, 0.0]).astype(complex))
     assert np.allclose(states.pauli_assemble(c), np.diag([1.0, 0.0]), atol=1e-14)
 
@@ -134,7 +136,7 @@ def test_constructors_satisfy_density_invariants():
         states.ghz(3),
         states.w_state(3),
         states.mixture(2, 3, 0.7),
-        states.maximally_mixed(2),
+        maximally_mixed(2),
     ):
         states.require_density(rho)
 
@@ -226,7 +228,7 @@ def test_norms():
     m = np.diag([3.0, -4.0]).astype(complex)
     assert abs(states.operator_norm(m) - 4.0) < 1e-12
     assert abs(states.frobenius_norm(m) - 5.0) < 1e-12
-    assert abs(states.trace_norm(m) - 7.0) < 1e-12
+    assert abs(trace_norm(m) - 7.0) < 1e-12
 
 
 def test_state_json_round_trip(tmp_path):
@@ -259,7 +261,7 @@ def test_saved_state_bytes_match_indented_json_dump(tmp_path, n):
 
 @pytest.mark.parametrize("value", [complex(math.nan, 0), complex(0, math.inf), -math.inf])
 def test_save_state_rejects_a_non_finite_entry_before_opening(tmp_path, value):
-    matrix = states.maximally_mixed(2)
+    matrix = maximally_mixed(2)
     matrix[2, 1] = value
     matrix[3, 0] = math.nan
     path = tmp_path / "state.json"
@@ -277,7 +279,7 @@ def test_load_state_accepts_integer_entries(tmp_path):
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
 def test_load_state_rejects_a_non_finite_entry(tmp_path, literal):
-    obj = state_to_dict(states.maximally_mixed(1))
+    obj = state_to_dict(maximally_mixed(1))
     text = json.dumps(obj).replace('"re": [[0.5, 0.0], [0.0', f'"re": [[0.5, 0.0], [{literal}')
     path = tmp_path / "state.json"
     path.write_text(text)
@@ -367,9 +369,9 @@ def test_first_bad_entry_in_row_major_order_is_reported():
 
 
 def test_state_entries_may_be_float_subclasses():
-    obj = state_to_dict(states.maximally_mixed(1))
+    obj = state_to_dict(maximally_mixed(1))
     obj["re"][0][0] = np.float64(0.5)
-    assert np.array_equal(states.state_from_dict(obj), states.maximally_mixed(1))
+    assert np.array_equal(states.state_from_dict(obj), maximally_mixed(1))
 
 
 def test_state_json_errors(tmp_path):

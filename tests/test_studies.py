@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qtomo import calibration, inversion, measurement, states, studies
+from qtomo import calibration, inversion, measurement, rankpen, states, studies
 from qtomo.errors import ConfigError
 
 
@@ -63,7 +63,7 @@ def test_rank_study_nu_matches_independent_formulas():
             "oracle": states.operator_norm(est.matrix - rho) ** 2,
             "theory": calibration.nu_theory(n, m, theta, eps),
             "bootstrap": float(
-                np.mean(calibration.bootstrap_norms(est, m, boot_reps, boot))
+                np.mean(calibration.bootstrap_norms(rankpen.spectral(est), m, boot_reps, boot))
             ) ** 2,
             "fixed:0.03": 0.03,
             "0.07": 0.07,
@@ -71,13 +71,29 @@ def test_rank_study_nu_matches_independent_formulas():
         assert r.nu == expected, r
 
 
+def test_rank_study_builds_one_outcome_law_per_state(monkeypatch):
+    # one probability table per d for the datasets, and one per (d, rep) for
+    # the bootstrap's sigma; the other modes build none
+    calls = []
+    table = measurement.probability_table
+    monkeypatch.setattr(
+        measurement, "probability_table", lambda rho: calls.append(1) or table(rho)
+    )
+    studies.rank_study(2, 40, [1, 2, 3], modes=("oracle", "theory"), reps=4, seed=1)
+    assert len(calls) == 3
+    studies.rank_study(2, 40, [1, 2, 3], modes=("bootstrap",), reps=4, seed=1,
+                       bootstrap_reps=2)
+    assert len(calls) == 3 + 3 + 3 * 4
+
+
 @pytest.mark.parametrize("bad", ["fixed:-1", "fixed:x", "magic", "fixed:nan"])
 def test_rank_study_rejects_bad_mode_before_simulating(monkeypatch, bad):
     calls = []
-    simulate = measurement.simulate_dataset
-    monkeypatch.setattr(
-        measurement, "simulate_dataset", lambda *a: calls.append(1) or simulate(*a)
-    )
+    for name in ("outcome_law", "draw_dataset"):
+        monkeypatch.setattr(
+            measurement, name,
+            lambda *a, f=getattr(measurement, name): calls.append(1) or f(*a),
+        )
     with pytest.raises(ConfigError):
         studies.rank_study(2, 40, [1, 2], modes=("theory", bad), reps=2)
     assert calls == []
@@ -95,11 +111,31 @@ def test_error_study_aggregates():
         studies.error_study(2, [], [20], reps=2)
 
 
-def test_spectrum_rows_increasing_with_constant_threshold():
-    est = inversion.linear_estimator(
-        measurement.exact_frequencies(states.diag_state(2, 3))
+def test_error_study_draws_each_point_from_its_own_stream(monkeypatch):
+    # one outcome law per state, and dataset (d, m, rep) from stream (0, d, m, rep)
+    n, seed = 2, 3
+    tables = []
+    table = measurement.probability_table
+    monkeypatch.setattr(
+        measurement, "probability_table", lambda rho: tables.append(1) or table(rho)
     )
-    rows = studies.spectrum_rows(est, 0.04)
+    records, _ = studies.error_study(n, [1, 3], [20, 50], reps=3, seed=seed)
+    monkeypatch.undo()
+    assert len(tables) == 2
+    for r in records:
+        rho = states.diag_state(n, r.d)
+        ds = measurement.simulate_dataset(rho, r.m, measurement.stream(seed, 0, r.d, r.m, r.rep))
+        est = inversion.linear_estimator(measurement.empirical_frequencies(ds))
+        assert r.op_error == states.operator_norm(est.matrix - rho)
+        assert r.frob_error == states.frobenius_norm(est.matrix - rho)
+
+
+def test_spectrum_rows_increasing_with_constant_threshold():
+    rho = states.diag_state(2, 3)
+    est = inversion.linear_estimator(
+        measurement.EmpiricalFrequencies(2, measurement.probability_table(rho))
+    )
+    rows = studies.spectrum_rows(rankpen.spectral(est), 0.04)
     assert [r["index"] for r in rows] == [1, 2, 3, 4]
     values = [r["singular_value"] for r in rows]
     assert values == sorted(values)
