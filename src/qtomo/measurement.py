@@ -20,6 +20,7 @@ point (d, rep); (0, d, m, rep) for the dataset of error-study point (d, m, rep).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -197,27 +198,8 @@ def dataset_from_dict(obj) -> Dataset:
     setting_of = {} if short else {a: s for s, a in enumerate(pauli.all_settings(n))}
     outcome_of = {} if short else {r: o for o, r in enumerate(pauli.all_outcomes(n))}
     width = 2**n
-    cells, values = [], []
-    for i, entry in enumerate(entries):
-        # A miss in either map covers a non-string, a bad character and a
-        # wrong length; _entry_cell then finds the precise error.
-        try:
-            cell = setting_of[entry["setting"]] * width + outcome_of[entry["outcome"]]
-            c = entry["count"]
-            valid = type(entry) is dict and type(c) is int and 0 <= c <= _COUNT_MAX
-        except (KeyError, TypeError):
-            valid = False
-        if not valid:
-            try:
-                s, o, c = _entry_cell(i, entry, n)
-            except FormatError:
-                _check_duplicates(entries, cells)  # an earlier duplicate comes first
-                raise
-            cell = s * width + o
-        cells.append(cell)
-        values.append(c)
-    cells = np.array(cells, dtype=np.int64)
-    values = np.array(values, dtype=np.int64)
+    cells_values = None if short else _cells_at_once(entries, setting_of, outcome_of, width)
+    cells, values = cells_values or _cells_one_by_one(entries, n, setting_of, outcome_of)
     _check_duplicates(entries, cells)
     if short:
         bad, total = _first_short_setting(cells // width, values, m)
@@ -237,6 +219,56 @@ def dataset_from_dict(obj) -> Dataset:
     counts = np.zeros(3**n * width, dtype=np.int64)
     counts[cells] = values
     return Dataset(n=n, m=m, counts=counts.reshape(3**n, width))
+
+
+def _cells_at_once(entries: list, setting_of: dict, outcome_of: dict, width: int):
+    """(cells, counts) of well-formed entries, from a few C-level passes, else None.
+
+    An entry that is not a plain dict, a missing or unknown key, or a count
+    that is not a plain int in [0, 2^63) gives None; the walk then names the
+    first error.
+    """
+    if set(map(type, entries)) != {dict}:
+        return None
+    try:
+        counts = list(map(itemgetter("count"), entries))
+        if set(map(type, counts)) != {int}:
+            return None
+        values = np.array(counts, dtype=np.int64)
+        settings = np.fromiter(map(setting_of.__getitem__, map(itemgetter("setting"), entries)),
+                               dtype=np.int64, count=len(entries))
+        outcomes = np.fromiter(map(outcome_of.__getitem__, map(itemgetter("outcome"), entries)),
+                               dtype=np.int64, count=len(entries))
+    except (KeyError, TypeError, OverflowError):
+        return None
+    if values.min() < 0:
+        return None
+    return settings * width + outcomes, values
+
+
+def _cells_one_by_one(entries: list, n: int, setting_of: dict, outcome_of: dict):
+    """(cells, counts) of the entries, walked in order, or the first entry's FormatError."""
+    width = 2**n
+    cells, values = [], []
+    for i, entry in enumerate(entries):
+        # A miss in either map covers a non-string, a bad character and a
+        # wrong length; _entry_cell then finds the precise error.
+        try:
+            cell = setting_of[entry["setting"]] * width + outcome_of[entry["outcome"]]
+            c = entry["count"]
+            valid = type(entry) is dict and type(c) is int and 0 <= c <= _COUNT_MAX
+        except (KeyError, TypeError):
+            valid = False
+        if not valid:
+            try:
+                s, o, c = _entry_cell(i, entry, n)
+            except FormatError:
+                _check_duplicates(entries, cells)  # an earlier duplicate comes first
+                raise
+            cell = s * width + o
+        cells.append(cell)
+        values.append(c)
+    return np.array(cells, dtype=np.int64), np.array(values, dtype=np.int64)
 
 
 def _first_short_setting(settings: np.ndarray, values: np.ndarray, m: int) -> tuple[int, int]:
@@ -302,21 +334,23 @@ def _check_duplicates(entries: list, cells) -> None:
 
 
 def save_dataset(path, dataset: Dataset) -> None:
-    cells = np.nonzero(dataset.counts)
-    settings = list(pauli.all_settings(dataset.n))
-    outcomes = list(pauli.all_outcomes(dataset.n))
-    entries = zip(
-        dataset.counts[cells].tolist(),
-        map(outcomes.__getitem__, cells[1].tolist()),
-        map(settings.__getitem__, cells[0].tolist()),
-    )
+    # Entry text is head[count] + mid[outcome] + tail[setting], with the ",\n"
+    # separator in tail: three small tables, one gather and one join.
+    n = dataset.n
+    settings, outcomes = np.nonzero(dataset.counts)
+    values, which = np.unique(dataset.counts[settings, outcomes], return_inverse=True)
+    parts = np.empty((settings.size, 3), dtype=object)
+    parts[:, 0] = np.fromiter(
+        (f'    {{\n      "count": {c},\n      "outcome": "' for c in values.tolist()), object
+    )[which]
+    parts[:, 1] = np.fromiter((f'{r}",\n      "setting": "' for r in pauli.all_outcomes(n)),
+                              object)[outcomes]
+    parts[:, 2] = np.fromiter((f'{a}"\n    }},\n' for a in pauli.all_settings(n)), object)[settings]
+    parts[-1, 2] = parts[-1, 2][:-2]  # no separator after the last entry
     with open(path, "w", encoding="utf-8") as fh:
         fh.write('{\n  "counts": [\n')
-        fh.write(",\n".join([
-            f'    {{\n      "count": {c},\n      "outcome": "{r}",\n      "setting": "{a}"\n    }}'
-            for c, r, a in entries
-        ]))
-        fh.write(f'\n  ],\n  "m": {dataset.m},\n  "n": {dataset.n}\n}}\n')
+        fh.write("".join(parts.ravel().tolist()))
+        fh.write(f'\n  ],\n  "m": {dataset.m},\n  "n": {n}\n}}\n')
 
 
 def load_dataset(path) -> Dataset:

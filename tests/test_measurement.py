@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 import random
@@ -283,11 +284,12 @@ def test_dataset_file_round_trip(tmp_path):
         measurement.load_dataset(bad)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_saved_bytes_match_indented_json_dump(tmp_path, n):
     rng = np.random.default_rng(59 + n)
     cases = [
         (states.diag_state(n, 1), 40),
+        (states.diag_state(n, 1), 1000),  # counts of 1 to 4 digits
         (random_density(2**n, rng), 40),
         (random_density(2**n, rng), 1),
     ]
@@ -297,6 +299,33 @@ def test_saved_bytes_match_indented_json_dump(tmp_path, n):
         measurement.save_dataset(path, ds)
         expected = json.dumps(dataset_to_dict(ds), indent=2, sort_keys=True) + "\n"
         assert path.read_bytes() == expected.encode("utf-8")
+
+
+def _write_peak(path, dataset) -> int:
+    """tracemalloc peak, in bytes, of save_dataset(path, dataset)."""
+    tracemalloc.start()
+    try:
+        measurement.save_dataset(path, dataset)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_saved_bytes_with_a_large_m_need_no_table_over_counts(tmp_path):
+    # A fragment per possible count, range(m + 1), would take about 100 MB here.
+    ds = measurement.simulate_dataset(random_density(2, np.random.default_rng(71)), 10**6, 3)
+    path = tmp_path / "data.json"
+    peak = _write_peak(path, ds)
+    expected = json.dumps(dataset_to_dict(ds), indent=2, sort_keys=True) + "\n"
+    assert path.read_bytes() == expected.encode("utf-8")
+    assert peak < 2 * 2**20
+
+
+def test_save_dataset_peak_stays_below_three_times_the_file(tmp_path):
+    ds = measurement.simulate_dataset(states.ghz(6), 100, 5)
+    path = tmp_path / "data.json"
+    peak = _write_peak(path, ds)
+    assert peak < 3 * path.stat().st_size
 
 
 def test_load_accepts_any_layout_and_entry_order(tmp_path):
@@ -384,6 +413,36 @@ def test_count_beyond_int64_is_a_format_error():
     with pytest.raises(FormatError) as err:
         measurement.dataset_from_dict(obj)
     assert str(err.value) == f"counts[0].count: {big} does not fit in a 64-bit count"
+
+
+def test_count_beyond_int64_in_a_full_list_is_a_format_error():
+    big = 2**63
+    obj = {"n": 1, "m": 1, "counts": [_entry("x", "+", big), _entry("y", "+", 1), _entry("z", "-", 1)]}
+    with pytest.raises(FormatError) as err:
+        measurement.dataset_from_dict(obj)
+    assert str(err.value) == f"counts[0].count: {big} does not fit in a 64-bit count"
+
+
+class _Count(int):
+    """An int subclass, as a JSON decoder with a custom parse_int may give."""
+
+
+@pytest.mark.parametrize(
+    "alter",
+    [collections.OrderedDict, lambda entry: {**entry, "count": _Count(entry["count"])}],
+    ids=["ordered-dict-entry", "int-subclass-count"],
+)
+def test_an_unusual_entry_in_a_full_list_loads_through_the_walk(monkeypatch, alter):
+    ds = measurement.simulate_dataset(random_density(4, np.random.default_rng(67)), 12, 9)
+    obj = dataset_to_dict(ds)
+    assert len(obj["counts"]) >= 3**2  # a full-length list, so the vectorized path runs first
+    obj["counts"][3] = alter(obj["counts"][3])
+    walked, entry_cell = [], measurement._entry_cell
+    monkeypatch.setattr(
+        measurement, "_entry_cell", lambda i, entry, n: walked.append(i) or entry_cell(i, entry, n)
+    )
+    assert np.array_equal(measurement.dataset_from_dict(obj).counts, ds.counts)
+    assert walked == [3]
 
 
 @pytest.mark.parametrize(
