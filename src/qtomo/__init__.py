@@ -16,7 +16,6 @@ from .calibration import (
 )
 from .errors import ConfigError, DimensionLimitError, FormatError
 from .inversion import (
-    LinearEstimate,
     hoeffding_radius,
     invert_coefficients,
     linear_estimator,
@@ -66,7 +65,6 @@ __all__ = [
     "DimensionLimitError",
     "EmpiricalFrequencies",
     "FormatError",
-    "LinearEstimate",
     "PenaltyChoice",
     "RankPenalizedFit",
     "SpectralDecomposition",

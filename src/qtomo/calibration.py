@@ -86,20 +86,15 @@ class PenaltyChoice:
         return cls(mode, value, theta, eps, reps)
 
 
-def nu_oracle(
-    est: inversion.LinearEstimate | rankpen.SpectralDecomposition, rho_true: np.ndarray
-) -> float:
+def nu_oracle(est: np.ndarray, rho_true: np.ndarray) -> float:
     """Squared operator norm of the estimation error against the true state.
 
-    ``est`` is the linear estimate or its ``rankpen.spectral`` decomposition;
-    only its matrix is read.
+    ``est`` is the linear estimate, a Hermitian matrix.
     """
     rho_true = np.asarray(rho_true, dtype=complex)
-    if rho_true.shape != est.matrix.shape:
-        raise ValueError(
-            f"dimension mismatch: estimate {est.matrix.shape}, truth {rho_true.shape}"
-        )
-    return states.operator_norm(est.matrix - rho_true) ** 2
+    if rho_true.shape != est.shape:
+        raise ValueError(f"dimension mismatch: estimate {est.shape}, truth {rho_true.shape}")
+    return states.operator_norm(est - rho_true) ** 2
 
 
 def nu_theory(n: int, m: int, theta: float = 0.0, eps: float = 1.0) -> float:
@@ -154,7 +149,7 @@ def bootstrap_norms(
             law, m, [measurement.stream(seed, j) for j in range(start, min(start + size, reps))]
         )
         synth = inversion.linear_estimator(measurement.empirical_frequencies(ds))
-        norms.append(states.operator_norm(synth.matrix - sigma))
+        norms.append(states.operator_norm(synth - sigma))
     return np.concatenate(norms)
 
 
@@ -193,14 +188,10 @@ def resolve_penalty(
             return nu_oracle(est, rho_true), {}
         dec = rankpen.spectral(est)
     if choice.mode == "oracle":
-        return nu_oracle(dec, rho_true), {}
+        return nu_oracle(dec.matrix, rho_true), {}
     # bootstrap
     norms = bootstrap_norms(dec, m, choice.reps, seed)
     return float(np.mean(norms) ** 2), {
         "norms": [float(x) for x in norms],
         "reps": choice.reps,
     }
-
-
-def calibration_report_dict(mode: str, value: float, details: dict) -> dict:
-    return {"mode": mode, "value": float(value), "details": details}

@@ -18,8 +18,6 @@ import numpy as np
 from . import calibration, inversion, measurement, rankpen, states, studies
 from .errors import ConfigError, FormatError
 
-STATE_NAMES = ("diag", "ghz", "w", "mixture")
-
 RANK_STUDY_HEADER = ["d", "mode", "frequency", "mean_nu", "mean_error"]
 ERROR_STUDY_HEADER = ["d", "m", "mean_error", "max_error"]
 SPECTRUM_HEADER = ["index", "singular_value", "threshold"]
@@ -129,12 +127,17 @@ def cmd_estimate(args) -> int:
     fit = rankpen.penalized_fit(dec, nu)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "fit.json", rankpen.fit_report_dict(fit))
+    _write_json(out_dir / "fit.json", {
+        "nu": fit.nu,
+        "k_hat": fit.k_hat,
+        "singular_values": dec.singular_values.tolist(),
+        "objective": fit.objective.tolist(),
+    })
     states.save_state(out_dir / "estimate_state.json", fit.estimate)
     states.save_state(out_dir / "physical_state.json", fit.physical_estimate)
     print(f"penalty mode={mode} nu={nu!r} threshold={float(np.sqrt(nu))!r}")
     print(f"k_hat={fit.k_hat}")
-    print("singular_values=" + " ".join(repr(float(v)) for v in fit.singular_values))
+    print("singular_values=" + " ".join(repr(float(v)) for v in dec.singular_values))
     print(f"wrote {out_dir / 'fit.json'}")
     return 0
 
@@ -153,10 +156,7 @@ def cmd_rank_study(args) -> int:
         eps=args.eps,
         bootstrap_reps=args.bootstrap_reps,
     )
-    rows = [
-        [a["d"], a["mode"], a["frequency"], a["mean_nu"], a["mean_error"]]
-        for a in aggregates
-    ]
+    rows = [[a[key] for key in RANK_STUDY_HEADER] for a in aggregates]
     _write_csv(args.out, RANK_STUDY_HEADER, rows)
     print(f"wrote {args.out}: {len(rows)} rows ({len(d_values)} ranks x {len(modes)} modes)")
     return 0
@@ -168,7 +168,7 @@ def cmd_error_study(args) -> int:
     _records, aggregates = studies.error_study(
         args.n, d_values, m_values, reps=args.reps, seed=args.seed
     )
-    rows = [[a["d"], a["m"], a["mean_error"], a["max_error"]] for a in aggregates]
+    rows = [[a[key] for key in ERROR_STUDY_HEADER] for a in aggregates]
     _write_csv(args.out, ERROR_STUDY_HEADER, rows)
     print(f"wrote {args.out}: {len(rows)} rows")
     return 0
@@ -176,9 +176,10 @@ def cmd_error_study(args) -> int:
 
 def cmd_spectrum(args) -> int:
     dec, nu, _mode = _estimate_with_penalty(args)
+    threshold = float(np.sqrt(nu))
     rows = [
-        [r["index"], r["singular_value"], r["threshold"]]
-        for r in studies.spectrum_rows(dec, nu)
+        [index, value, threshold]
+        for index, value in enumerate(dec.singular_values[::-1].tolist(), start=1)
     ]
     _write_csv(args.out, SPECTRUM_HEADER, rows)
     above = sum(1 for r in rows if r[1] >= r[2])
@@ -190,7 +191,7 @@ def cmd_calibrate(args) -> int:
     # given the dataset, resolve_penalty inverts it only if the mode reads the estimate
     choice, rho_true, dataset = _penalty_inputs(args)
     nu, details = calibration.resolve_penalty(choice, dataset, dataset.m, args.seed, rho_true)
-    report = calibration.calibration_report_dict(choice.mode, nu, details)
+    report = {"mode": choice.mode, "value": float(nu), "details": details}
     if args.out:
         _write_json(args.out, report)
         print(f"wrote {args.out}: nu={nu!r}")

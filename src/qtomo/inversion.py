@@ -16,7 +16,6 @@ bounds into trace-norm bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,20 +24,6 @@ from .measurement import EmpiricalFrequencies
 
 # diag(E.T @ E) of one qubit: 6 for the identity, 2 for x, y and z
 _GRAM_1Q = (_kernels.E**2).sum(axis=0)
-
-
-@dataclass
-class LinearEstimate:
-    """Inverted estimate: Pauli coefficients and the assembled matrix.
-
-    The matrix is Hermitian with trace exactly 1 (up to rounding) but may
-    have negative eigenvalues. The estimate of a stack of frequency tables
-    is a stack too, with the same leading axes.
-    """
-
-    n: int
-    coeffs: np.ndarray  # (4^n,) float64, or (..., 4^n) for a stack
-    matrix: np.ndarray  # (2^n, 2^n) complex, or (..., 2^n, 2^n) for a stack
 
 
 def invert_coefficients(freqs: EmpiricalFrequencies) -> np.ndarray:
@@ -68,12 +53,14 @@ def _gram_diagonal(n: int) -> np.ndarray:
     return diag
 
 
-def linear_estimator(freqs: EmpiricalFrequencies) -> LinearEstimate:
-    """Assemble the inverted coefficients into a Hermitian matrix estimate."""
-    coeffs = invert_coefficients(freqs)
-    return LinearEstimate(
-        n=freqs.n, coeffs=coeffs, matrix=states.pauli_assemble(coeffs)
-    )
+def linear_estimator(freqs: EmpiricalFrequencies) -> np.ndarray:
+    """The inverted coefficients assembled into the linear estimate.
+
+    The (2^n, 2^n) complex matrix is Hermitian with trace exactly 1 (up to
+    rounding) but may have negative eigenvalues. The estimate of a stack of
+    frequency tables is a stack too, with the same leading axes.
+    """
+    return states.pauli_assemble(invert_coefficients(freqs))
 
 
 def variance_bound(b: str, m: int) -> float:

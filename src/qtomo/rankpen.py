@@ -24,10 +24,6 @@ import numpy as np
 from . import states
 
 
-def _matrix_of(est) -> np.ndarray:
-    return getattr(est, "matrix", est)
-
-
 @dataclass
 class SpectralDecomposition:
     """A Hermitian matrix with its eigensystem, ordered by decreasing absolute eigenvalue.
@@ -62,7 +58,6 @@ class RankPenalizedFit:
     k_hat: int
     estimate: np.ndarray
     physical_estimate: np.ndarray
-    singular_values: np.ndarray
     objective: np.ndarray
     physical_rank: int
 
@@ -77,9 +72,9 @@ def _check_penalty(nu: float) -> None:
         raise ValueError(f"penalty nu={nu} must be finite and >= 0")
 
 
-def spectral(est) -> SpectralDecomposition:
-    """Decompose a Hermitian matrix (or estimate) by decreasing singular value."""
-    matrix = states.require_hermitian(_matrix_of(est))
+def spectral(matrix: np.ndarray) -> SpectralDecomposition:
+    """Decompose a Hermitian matrix by decreasing singular value."""
+    matrix = states.require_hermitian(matrix)
     w, v = np.linalg.eigh(matrix)
     order = np.argsort(-np.abs(w), kind="stable")
     return SpectralDecomposition(
@@ -128,7 +123,6 @@ def penalized_fit(dec: SpectralDecomposition, nu: float) -> RankPenalizedFit:
         k_hat=k_hat,
         estimate=truncate(dec, k_hat),
         physical_estimate=states.nearest_density(dec.eigenvalues, dec.vectors, physical_rank),
-        singular_values=dec.singular_values.copy(),
         objective=objective,
         physical_rank=physical_rank,
     )
@@ -149,12 +143,3 @@ def penalized_error_bound(rho: np.ndarray, nu: float, theta: float) -> float:
     c = 1.0 + 2.0 / theta
     values = c**2 * _tail_sums(s) + 2.0 * c * nu * np.arange(s.size + 1)
     return float(values.min())
-
-
-def fit_report_dict(fit: RankPenalizedFit) -> dict:
-    return {
-        "nu": float(fit.nu),
-        "k_hat": int(fit.k_hat),
-        "singular_values": [float(x) for x in fit.singular_values],
-        "objective": [float(x) for x in fit.objective],
-    }

@@ -63,28 +63,24 @@ def qubit_count(matrix: np.ndarray) -> int:
     return pauli.check_qubits(n)
 
 
-def require_hermitian(matrix: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray:
+def require_hermitian(matrix: np.ndarray) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=complex)
     qubit_count(matrix)
     dev = np.abs(matrix - matrix.conj().T).max()
-    if dev > atol:
-        raise ValueError(f"matrix is not Hermitian: max deviation {dev:.3e} > {atol:.1e}")
+    if dev > HERMITIAN_ATOL:
+        raise ValueError(f"matrix is not Hermitian: max deviation {dev:.3e} > {HERMITIAN_ATOL:.1e}")
     return matrix
 
 
-def require_density(
-    matrix: np.ndarray,
-    trace_atol: float = TRACE_ATOL,
-    eig_atol: float = EIG_ATOL,
-) -> np.ndarray:
+def require_density(matrix: np.ndarray) -> np.ndarray:
     """Validate the density-matrix invariants: Hermitian, unit trace, PSD."""
     matrix = require_hermitian(matrix)
     tr = matrix.trace().real
-    if abs(tr - 1.0) > trace_atol:
-        raise ValueError(f"trace {tr!r} differs from 1 by more than {trace_atol:.1e}")
+    if abs(tr - 1.0) > TRACE_ATOL:
+        raise ValueError(f"trace {tr!r} differs from 1 by more than {TRACE_ATOL:.1e}")
     w_min = np.linalg.eigvalsh(matrix)[0]
-    if w_min < -eig_atol:
-        raise ValueError(f"smallest eigenvalue {w_min:.3e} below -{eig_atol:.1e}")
+    if w_min < -EIG_ATOL:
+        raise ValueError(f"smallest eigenvalue {w_min:.3e} below -{EIG_ATOL:.1e}")
     return matrix
 
 

@@ -72,7 +72,7 @@ def rank_study(
             ds = measurement.draw_dataset(law, m, measurement.stream(seed, 0, d, rep))
             est = inversion.linear_estimator(measurement.empirical_frequencies(ds))
             dec = rankpen.spectral(est)
-            diff = est.matrix - rho
+            diff = est - rho
             op_error = states.operator_norm(diff)
             frob_error = states.frobenius_norm(diff)
             for mode, choice in choices:
@@ -124,7 +124,7 @@ def error_study(
                 est = inversion.linear_estimator(
                     measurement.empirical_frequencies(ds)
                 )
-                diff = est.matrix - rho
+                diff = est - rho
                 records.append(
                     StudyRecord(
                         d=d, m=m, mode="none", rep=rep, k_hat=-1, nu=float("nan"),
@@ -145,13 +145,3 @@ def error_study(
                 }
             )
     return records, aggregates
-
-
-def spectrum_rows(dec: rankpen.SpectralDecomposition, nu: float) -> list[dict]:
-    """Singular values of a ``rankpen.spectral`` decomposition, increasing, beside sqrt(nu)."""
-    thr = float(np.sqrt(nu))
-    values = dec.singular_values[::-1]
-    return [
-        {"index": i + 1, "singular_value": float(v), "threshold": thr}
-        for i, v in enumerate(values)
-    ]

@@ -79,7 +79,7 @@ def test_criterion_01_exact_inversion_identity():
             for freqs in (measurement.EmpiricalFrequencies(n, measurement.probability_table(rho)),
                           measurement.EmpiricalFrequencies(n, ref.probabilities(rho))):
                 est = inversion.linear_estimator(freqs)
-                worst = max(worst, float(np.linalg.norm(est.matrix - rho)))
+                worst = max(worst, float(np.linalg.norm(est - rho)))
     elapsed = time.perf_counter() - t0
     _check(
         1,
@@ -265,7 +265,7 @@ def test_criterion_07_concentration():
     for rep in range(reps):
         ds = measurement.simulate_dataset(rho, m, np.random.SeedSequence(1, spawn_key=(rep,)))
         est = inversion.linear_estimator(measurement.empirical_frequencies(ds))
-        if states.operator_norm(est.matrix - rho) ** 2 >= radius_sq:
+        if states.operator_norm(est - rho) ** 2 >= radius_sq:
             exceed += 1
     frequency = exceed / reps
     limit = eps + 3 * np.sqrt(eps * (1 - eps) / reps)

@@ -8,27 +8,28 @@ from qtomo import calibration, inversion, measurement, rankpen, states
 from qtomo.errors import ConfigError
 
 
-def _estimate_of(matrix: np.ndarray) -> inversion.LinearEstimate:
-    coeffs = states.pauli_expand(matrix)
-    return inversion.LinearEstimate(
-        n=states.qubit_count(matrix), coeffs=coeffs, matrix=matrix
-    )
-
-
 def test_nu_oracle_zero_when_exact():
     rho = states.ghz(2)
-    assert calibration.nu_oracle(_estimate_of(rho), rho) == 0.0
+    assert calibration.nu_oracle(rho, rho) == 0.0
 
 
 def test_nu_oracle_diagonal_difference():
     rho = states.diag_state(2, 2)
-    est = _estimate_of(rho + np.diag([0.3, -0.1, 0.0, 0.0]))
+    est = rho + np.diag([0.3, -0.1, 0.0, 0.0])
     assert abs(calibration.nu_oracle(est, rho) - 0.09) < 1e-12
+
+
+def test_nu_oracle_reads_the_bare_matrix():
+    rho = states.mixture(2, 2, 0.3)
+    ds = measurement.simulate_dataset(rho, 40, 12)
+    est = inversion.linear_estimator(measurement.empirical_frequencies(ds))
+    assert calibration.nu_oracle(est, rho) == states.operator_norm(est - rho) ** 2
+    assert rankpen.spectral(est).matrix is est
 
 
 def test_nu_oracle_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension mismatch"):
-        calibration.nu_oracle(_estimate_of(states.ghz(2)), states.ghz(3))
+        calibration.nu_oracle(states.ghz(2), states.ghz(3))
 
 
 def test_nu_theory_frozen_values():
@@ -75,7 +76,7 @@ def test_nu_bootstrap_repeats_for_one_seed_sequence_object():
 
 
 def test_nu_bootstrap_vanishes_with_many_repetitions():
-    est = _estimate_of(maximally_mixed(1))
+    est = maximally_mixed(1)
     dec = rankpen.spectral(est)
     small_m = calibration.nu_bootstrap(dec, 100, 10, 3)
     large_m = calibration.nu_bootstrap(dec, 4000, 10, 3)
@@ -234,11 +235,6 @@ def test_resolve_penalty_gives_the_same_bits_from_the_dataset(penalty):
     )
 
 
-def test_calibration_report_dict():
-    report = calibration.calibration_report_dict("theory", 0.5, {"theta": 0.0})
-    assert report == {"mode": "theory", "value": 0.5, "details": {"theta": 0.0}}
-
-
 def test_bootstrap_norms_match_per_repetition_simulation(monkeypatch):
     ds = measurement.simulate_dataset(states.mixture(3, 2, 0.3), 50, 17)
     est = inversion.linear_estimator(measurement.empirical_frequencies(ds))
@@ -252,13 +248,13 @@ def test_bootstrap_norms_match_per_repetition_simulation(monkeypatch):
     monkeypatch.undo()
     assert len(calls) == 1
 
-    sigma = states.nearest_density(*np.linalg.eigh(est.matrix))
+    sigma = states.nearest_density(*np.linalg.eigh(est))
     expected = []
     for child in np.random.SeedSequence(99).spawn(4):
         synth = inversion.linear_estimator(
             measurement.empirical_frequencies(measurement.simulate_dataset(sigma, 50, child))
         )
-        expected.append(states.operator_norm(synth.matrix - sigma))
+        expected.append(states.operator_norm(synth - sigma))
     assert norms.tolist() == expected
 
 
@@ -299,13 +295,13 @@ def test_bootstrap_batches_give_the_bits_of_a_per_repetition_loop(monkeypatch):
     monkeypatch.undo()
     assert sizes == [per_batch, per_batch, 1]
 
-    sigma = states.nearest_density(*np.linalg.eigh(est.matrix))
+    sigma = states.nearest_density(*np.linalg.eigh(est))
     expected = []
     for j in range(reps):
         synth = inversion.linear_estimator(measurement.empirical_frequencies(
             measurement.simulate_dataset(sigma, m, measurement.stream(seed, j))
         ))
-        expected.append(states.operator_norm(synth.matrix - sigma))
+        expected.append(states.operator_norm(synth - sigma))
     assert norms.tolist() == expected
 
 

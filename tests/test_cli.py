@@ -67,6 +67,26 @@ def test_estimate_round_trip(tmp_path, capsys):
     states.require_density(phys)
 
 
+def test_estimate_fit_json_agrees_with_stdout(tmp_path, capsys):
+    n = 3
+    data = tmp_path / "data.json"
+    run("simulate", "--n", n, "--m", 100, "--state", "ghz", "--seed", 5, "--out", data)
+    out_dir = tmp_path / "fit"
+    capsys.readouterr()
+    assert run("estimate", data, "--penalty", "fixed:0.01", "--out", out_dir) == 0
+    printed = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines()[1:3])
+    report = json.loads((out_dir / "fit.json").read_text())
+    assert type(report["k_hat"]) is int
+    assert report["k_hat"] == int(printed["k_hat"])
+    values = report["singular_values"]
+    assert len(values) == 2**n
+    assert values == sorted(values, reverse=True)
+    assert values == [float(v) for v in printed["singular_values"].split()]
+    objective = report["objective"]
+    assert len(objective) == 2**n + 1
+    assert objective[report["k_hat"]] == min(objective)
+
+
 def test_estimate_theory_penalty_well_formed(tmp_path):
     data = tmp_path / "data.json"
     run("simulate", "--n", 2, "--m", 60, "--state", "w", "--seed", 2, "--out", data)
@@ -382,6 +402,21 @@ def test_spectrum_rank2_dominated(tmp_path):
     assert len(thresholds) == 1
     above = sum(v >= float(r[2]) for v, r in zip(values, rows))
     assert above == 2
+
+
+def test_spectrum_fixed_penalty_csv(tmp_path):
+    n = 2
+    data = tmp_path / "data.json"
+    run("simulate", "--n", n, "--m", 100, "--d", 3, "--seed", 8, "--out", data)
+    out = tmp_path / "spec.csv"
+    assert run("spectrum", data, "--penalty", "fixed:0.04", "--out", out) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "index,singular_value,threshold"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(r[0]) for r in rows] == list(range(1, 2**n + 1))
+    values = [float(r[1]) for r in rows]
+    assert values == sorted(values)
+    assert {float(r[2]) for r in rows} == {0.2}
 
 
 def test_spectrum_rejects_zero_dataset(tmp_path):

@@ -57,16 +57,34 @@ def test_invert_hand_example_z_eigenstate():
 def test_linear_estimator_round_trip_ghz():
     rho = states.ghz(2)
     est = inversion.linear_estimator(_exact_frequencies(rho))
-    assert np.linalg.norm(est.matrix - rho) < 1e-12
+    assert np.linalg.norm(est - rho) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_linear_estimator_returns_the_complex_matrix(n):
+    law = measurement.outcome_law(random_density(2**n, np.random.default_rng(50 + n)))
+    one = inversion.linear_estimator(
+        measurement.empirical_frequencies(measurement.draw_dataset(law, 20, 51))
+    )
+    assert type(one) is np.ndarray and one.dtype == complex
+    assert one.shape == (2**n, 2**n)
+    stack = inversion.linear_estimator(
+        measurement.empirical_frequencies(measurement.draw_dataset(law, 20, [51, 52, 53]))
+    )
+    assert type(stack) is np.ndarray and stack.dtype == complex
+    assert stack.shape == (3, 2**n, 2**n)
+    assert np.array_equal(stack[0], one)
 
 
 def test_linear_estimator_invariants_on_simulated_data():
     rho = states.diag_state(2, 3)
     ds = measurement.simulate_dataset(rho, 100, 17)
-    est = inversion.linear_estimator(measurement.empirical_frequencies(ds))
-    assert np.abs(est.matrix - est.matrix.conj().T).max() < 1e-12
-    assert abs(est.matrix.trace().real - 1.0) < 1e-12
-    assert np.linalg.norm(est.matrix - states.pauli_assemble(est.coeffs)) < 1e-12
+    freqs = measurement.empirical_frequencies(ds)
+    est = inversion.linear_estimator(freqs)
+    assert np.abs(est - est.conj().T).max() < 1e-12
+    assert abs(est.trace().real - 1.0) < 1e-12
+    coeffs = inversion.invert_coefficients(freqs)
+    assert np.linalg.norm(est - states.pauli_assemble(coeffs)) < 1e-12
 
 
 def test_linear_estimator_unbiased_monte_carlo():
@@ -77,9 +95,7 @@ def test_linear_estimator_unbiased_monte_carlo():
         ds = measurement.simulate_dataset(
             rho, 50, np.random.SeedSequence(99, spawn_key=(rep,))
         )
-        mats[rep] = inversion.linear_estimator(
-            measurement.empirical_frequencies(ds)
-        ).matrix
+        mats[rep] = inversion.linear_estimator(measurement.empirical_frequencies(ds))
     mean = mats.mean(axis=0)
     se_re = mats.real.std(axis=0, ddof=1) / math.sqrt(reps)
     se_im = mats.imag.std(axis=0, ddof=1) / math.sqrt(reps)
@@ -122,11 +138,9 @@ def test_qubit_permutation_permutes_the_estimate(perm):
     counts = counts.transpose([*perm, *(n + p for p in perm)]).reshape(3**n, 2**n)
     permuted = measurement.Dataset(n=n, m=ds.m, counts=counts)
 
-    est = inversion.linear_estimator(measurement.empirical_frequencies(ds)).matrix
+    est = inversion.linear_estimator(measurement.empirical_frequencies(ds))
     est = est.reshape((2,) * (2 * n)).transpose([*perm, *(n + p for p in perm)])
-    est_of_permuted = inversion.linear_estimator(
-        measurement.empirical_frequencies(permuted)
-    ).matrix
+    est_of_permuted = inversion.linear_estimator(measurement.empirical_frequencies(permuted))
     assert np.abs(est_of_permuted - est.reshape(2**n, 2**n)).max() < 1e-12
 
 

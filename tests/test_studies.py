@@ -60,7 +60,7 @@ def test_rank_study_nu_matches_independent_formulas():
         est = inversion.linear_estimator(measurement.empirical_frequencies(ds))
         boot = np.random.SeedSequence(seed, spawn_key=(1, r.d, r.rep))
         expected = {
-            "oracle": states.operator_norm(est.matrix - rho) ** 2,
+            "oracle": states.operator_norm(est - rho) ** 2,
             "theory": calibration.nu_theory(n, m, theta, eps),
             "bootstrap": float(
                 np.mean(calibration.bootstrap_norms(rankpen.spectral(est), m, boot_reps, boot))
@@ -126,17 +126,6 @@ def test_error_study_draws_each_point_from_its_own_stream(monkeypatch):
         rho = states.diag_state(n, r.d)
         ds = measurement.simulate_dataset(rho, r.m, measurement.stream(seed, 0, r.d, r.m, r.rep))
         est = inversion.linear_estimator(measurement.empirical_frequencies(ds))
-        assert r.op_error == states.operator_norm(est.matrix - rho)
-        assert r.frob_error == states.frobenius_norm(est.matrix - rho)
+        assert r.op_error == states.operator_norm(est - rho)
+        assert r.frob_error == states.frobenius_norm(est - rho)
 
-
-def test_spectrum_rows_increasing_with_constant_threshold():
-    rho = states.diag_state(2, 3)
-    est = inversion.linear_estimator(
-        measurement.EmpiricalFrequencies(2, measurement.probability_table(rho))
-    )
-    rows = studies.spectrum_rows(rankpen.spectral(est), 0.04)
-    assert [r["index"] for r in rows] == [1, 2, 3, 4]
-    values = [r["singular_value"] for r in rows]
-    assert values == sorted(values)
-    assert {r["threshold"] for r in rows} == {0.2}
