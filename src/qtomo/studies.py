@@ -1,20 +1,23 @@
 """Monte-Carlo studies behind the CSV outputs of the command line.
 
-Every (parameter point, repetition) draws from its own ``measurement.stream``
-of the user seed, so records are reproducible and independent of execution
-order; repetitions could run concurrently without changing any output.
-Within the rank study all penalty modes are evaluated on the same simulated
-dataset, so mode comparisons are paired.
+Both studies aggregate the records of one sweep, which checks every rank,
+sample size and the repetition count before its first draw. Each (d, m, rep)
+point is drawn, inverted and scored once; given penalty modes, its estimate
+is also decomposed once and every mode selects a rank from that
+decomposition, so mode comparisons are paired. Each point draws from its own
+``measurement.stream`` of the user seed, so records are reproducible and
+independent of execution order. The rank study keys its dataset (0, d, rep)
+and its bootstrap (1, d, rep); the error study keys its dataset (0, d, m, rep).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from . import calibration, inversion, measurement, rankpen, states
+from . import calibration, inversion, measurement, pauli, rankpen, states
 from .errors import ConfigError
 
 
@@ -32,6 +35,54 @@ class StudyRecord:
     frob_error: float
 
 
+def _sweep(
+    n: int, d_values: Sequence[int], m_values: Sequence[int], reps: int, seed: int,
+    key: Callable[[int, int, int], tuple], choices: Sequence[tuple] = (),
+) -> list[StudyRecord]:
+    """The records of every (d, m, rep, mode), in that order.
+
+    Point (d, m, rep) draws its dataset from ``stream(seed, 0, *key(d, m, rep))``
+    and its bootstrap from ``stream(seed, 1, *key(d, m, rep))``. ``choices``
+    holds (mode, PenaltyChoice) pairs; without any, a point gives one record of
+    mode "none" with k_hat -1 and nu NaN.
+    """
+    if not d_values or not m_values:
+        raise ConfigError("empty sweep")
+    if reps < 1:
+        raise ConfigError(f"reps={reps} must be >= 1")
+    dim = 2 ** pauli.check_qubits(n)
+    bad = [f"rank d={d} out of range [1, {dim}]" for d in d_values if not 1 <= d <= dim]
+    bad += [f"repetition count m={m} must be >= 1" for m in m_values if m < 1]
+    if bad:
+        raise ConfigError(bad[0])
+    records: list[StudyRecord] = []
+    for d in d_values:
+        rho = states.diag_state(n, d)
+        law = measurement.outcome_law(rho)
+        for m in m_values:
+            for rep in range(reps):
+                stream_key = key(d, m, rep)
+                ds = measurement.draw_dataset(law, m, measurement.stream(seed, 0, *stream_key))
+                est = inversion.linear_estimator(measurement.empirical_frequencies(ds))
+                diff = est - rho
+                op_error = states.operator_norm(diff)
+                shared = dict(d=d, m=m, rep=rep, op_error=op_error,
+                              frob_error=states.frobenius_norm(diff))
+                if not choices:
+                    records.append(StudyRecord(mode="none", k_hat=-1, nu=float("nan"), **shared))
+                    continue
+                dec = rankpen.spectral(est)
+                for mode, choice in choices:
+                    if choice.mode == "oracle":  # calibration.nu_oracle, from the norm above
+                        nu = op_error**2
+                    else:
+                        nu, _details = calibration.resolve_penalty(
+                            choice, dec, m, measurement.stream(seed, 1, *stream_key))
+                    k_hat = rankpen.select_rank_threshold(dec, nu)
+                    records.append(StudyRecord(mode=mode, k_hat=k_hat, nu=nu, **shared))
+    return records
+
+
 def rank_study(
     n: int,
     m: int,
@@ -45,47 +96,19 @@ def rank_study(
 ) -> tuple[list[StudyRecord], list[dict]]:
     """Frequency of recovering the true rank of diagonal test states.
 
-    For each d, draws ``reps`` datasets from the outcome law of the rank-d
-    diagonal state (built once per d), inverts and decomposes each once, and
-    selects a rank per penalty mode from that decomposition. Each mode is a
-    ``PenaltyChoice.parse`` token, reported as given; all are parsed before
-    the first simulation. Aggregates report, per (d, mode): the selection
-    frequency, the mean penalty, and the mean operator-norm error of the
-    linear estimate.
+    Each mode is a ``PenaltyChoice.parse`` token, reported as given; all are
+    parsed before the first simulation. Aggregates report, per (d, mode): the
+    selection frequency, the mean penalty, and the mean operator-norm error of
+    the linear estimate.
     """
-    if not d_values:
-        raise ConfigError("empty d sweep")
     if not modes:
         raise ConfigError("empty penalty mode list")
-    if reps < 1:
-        raise ConfigError(f"reps={reps} must be >= 1")
     choices = [
         (mode, calibration.PenaltyChoice.parse(
             mode, theta=theta, eps=eps, reps=bootstrap_reps))
         for mode in modes
     ]
-    records: list[StudyRecord] = []
-    for d in d_values:
-        rho = states.diag_state(n, d)
-        law = measurement.outcome_law(rho)
-        for rep in range(reps):
-            ds = measurement.draw_dataset(law, m, measurement.stream(seed, 0, d, rep))
-            est = inversion.linear_estimator(measurement.empirical_frequencies(ds))
-            dec = rankpen.spectral(est)
-            diff = est - rho
-            op_error = states.operator_norm(diff)
-            frob_error = states.frobenius_norm(diff)
-            for mode, choice in choices:
-                nu, _details = calibration.resolve_penalty(
-                    choice, dec, m, measurement.stream(seed, 1, d, rep), rho_true=rho
-                )
-                k_hat = rankpen.select_rank_threshold(dec, nu)
-                records.append(
-                    StudyRecord(
-                        d=d, m=m, mode=mode, rep=rep, k_hat=k_hat, nu=nu,
-                        op_error=op_error, frob_error=frob_error,
-                    )
-                )
+    records = _sweep(n, d_values, [m], reps, seed, lambda d, m, rep: (d, rep), choices)
     aggregates = []
     for d in d_values:
         for mode in modes:
@@ -110,28 +133,7 @@ def error_study(
     seed: int = 0,
 ) -> tuple[list[StudyRecord], list[dict]]:
     """Operator-norm error of the linear estimator across ranks and sample sizes."""
-    if not d_values or not m_values:
-        raise ConfigError("empty sweep")
-    if reps < 1:
-        raise ConfigError(f"reps={reps} must be >= 1")
-    records: list[StudyRecord] = []
-    for d in d_values:
-        rho = states.diag_state(n, d)
-        law = measurement.outcome_law(rho)
-        for m in m_values:
-            for rep in range(reps):
-                ds = measurement.draw_dataset(law, m, measurement.stream(seed, 0, d, m, rep))
-                est = inversion.linear_estimator(
-                    measurement.empirical_frequencies(ds)
-                )
-                diff = est - rho
-                records.append(
-                    StudyRecord(
-                        d=d, m=m, mode="none", rep=rep, k_hat=-1, nu=float("nan"),
-                        op_error=states.operator_norm(diff),
-                        frob_error=states.frobenius_norm(diff),
-                    )
-                )
+    records = _sweep(n, d_values, m_values, reps, seed, lambda d, m, rep: (d, m, rep))
     aggregates = []
     for d in d_values:
         for m in m_values:

@@ -115,10 +115,10 @@ def test_estimate_rank_zero_physical_state_follows_the_data(tmp_path):
     assert fidelity["ghz", "ghz"] > fidelity["ghz", "w"]
 
 
-def _count_eigh(monkeypatch) -> list:
-    """Record every ``numpy.linalg.eigh`` call from now on."""
-    eigh, counted = np.linalg.eigh, []
-    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: counted.append(1) or eigh(*a, **k))
+def _count_linalg(monkeypatch, name: str) -> list:
+    """Record every ``numpy.linalg.<name>`` call from now on."""
+    f, counted = getattr(np.linalg, name), []
+    monkeypatch.setattr(np.linalg, name, lambda *a, **k: counted.append(1) or f(*a, **k))
     return counted
 
 
@@ -161,7 +161,7 @@ def test_estimate_eigensolves_once_per_fit(tmp_path, monkeypatch, penalty, calls
     # the fit builds both estimates from one eigh of the linear estimate, and
     # the bootstrap re-simulates from the physical state of that eigensystem
     data, state = _dataset_and_state(tmp_path)
-    counted = _count_eigh(monkeypatch)
+    counted = _count_linalg(monkeypatch, "eigh")
     code = run("estimate", data, "--penalty", penalty, "--state", state, "--reps", 3,
                "--out", tmp_path / "fit")
     assert code == 0
@@ -173,7 +173,7 @@ def test_spectrum_and_calibrate_eigensolve_only_what_they_read(tmp_path, monkeyp
     # spectrum reads the one eigensystem of the linear estimate with every
     # penalty; calibrate decomposes the estimate only for the bootstrap
     data, state = _dataset_and_state(tmp_path)
-    counted = _count_eigh(monkeypatch)
+    counted = _count_linalg(monkeypatch, "eigh")
     flags = ("--penalty", penalty, "--state", state, "--reps", 3)
     assert run("spectrum", data, *flags, "--out", tmp_path / "spectrum.csv") == 0
     assert len(counted) == 1
@@ -184,12 +184,23 @@ def test_spectrum_and_calibrate_eigensolve_only_what_they_read(tmp_path, monkeyp
 def test_rank_study_eigensolves_once_per_dataset(tmp_path, monkeypatch):
     # every mode, the bootstrap's sigma included, reads the one eigensystem
     # of each (d, rep) linear estimate
-    counted = _count_eigh(monkeypatch)
+    counted = _count_linalg(monkeypatch, "eigh")
     code = run("rank-study", "--n", 2, "--m", 40, "--d", "1,2,3", "--penalty",
                "oracle,theory,bootstrap,0.1", "--reps", 2, "--bootstrap-reps", 3,
                "--out", tmp_path / "study.csv")
     assert code == 0
     assert len(counted) == 3 * 2
+
+
+def test_rank_study_takes_two_operator_norms_per_dataset(tmp_path, monkeypatch):
+    # the error norm of each (d, rep) estimate, which the oracle reads too, and
+    # one stacked call for the bootstrap's synthetic errors
+    counted = _count_linalg(monkeypatch, "eigvalsh")
+    code = run("rank-study", "--n", 2, "--m", 40, "--d", "1,2,3", "--penalty",
+               "oracle,theory,bootstrap,0.1", "--reps", 2, "--bootstrap-reps", 3,
+               "--out", tmp_path / "study.csv")
+    assert code == 0
+    assert len(counted) == 3 * 2 * 2
 
 
 def test_estimate_missing_file_exit_3(tmp_path):
@@ -313,18 +324,46 @@ def test_rank_study_bare_number_mode(tmp_path):
     assert [float(r[3]) for r in rows if r[1] == "0.5"] == [0.5, 0.5]
 
 
-@pytest.mark.parametrize("bad", ["fixed:-1", "fixed:x", "magic", "fixed:nan"])
-def test_rank_study_bad_mode_exit_2_before_simulating(tmp_path, monkeypatch, bad):
+def _count_draws(monkeypatch) -> list:
+    """Record every outcome law built and every dataset drawn from now on."""
     calls = []
     for name in ("outcome_law", "draw_dataset"):
         monkeypatch.setattr(
             measurement, name,
             lambda *a, f=getattr(measurement, name): calls.append(1) or f(*a),
         )
+    return calls
+
+
+@pytest.mark.parametrize("bad", [
+    "fixed:-1", "fixed:x", "magic", "fixed:nan",
+    # a rank or a sample size that the sweep reaches only after some draws;
+    # a later flag overrides the earlier one
+    pytest.param(("--d", "1,2,9"), id="d=9"),
+    pytest.param(("--m", "0"), id="m=0"),
+])
+def test_rank_study_bad_mode_exit_2_before_simulating(tmp_path, monkeypatch, bad):
+    calls = _count_draws(monkeypatch)
+    flags = bad if isinstance(bad, tuple) else ("--penalty", f"theory,{bad}")
     out = tmp_path / "study.csv"
-    code = run("rank-study", "--n", 2, "--m", 60, "--d", "1,2", "--penalty",
-               f"theory,{bad}", "--reps", 2, "--out", out)
+    code = run("rank-study", "--n", 2, "--m", 60, "--d", "1,2", *flags, "--reps", 2,
+               "--out", out)
     assert code == 2
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("d, m, message", [
+    pytest.param("1,2", "40,0", "repetition count m=0 must be >= 1", id="m=0"),
+    pytest.param("1,2,9", "40", "rank d=9 out of range [1, 4]", id="d=9"),
+])
+def test_error_study_bad_sweep_exit_2_before_simulating(tmp_path, monkeypatch, capsys,
+                                                        d, m, message):
+    calls = _count_draws(monkeypatch)
+    out = tmp_path / "err.csv"
+    code = run("error-study", "--n", 2, "--d", d, "--m", m, "--reps", 5, "--out", out)
+    assert code == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
     assert calls == []
     assert not out.exists()
 

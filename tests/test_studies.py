@@ -86,16 +86,40 @@ def test_rank_study_builds_one_outcome_law_per_state(monkeypatch):
     assert len(calls) == 3 + 3 + 3 * 4
 
 
-@pytest.mark.parametrize("bad", ["fixed:-1", "fixed:x", "magic", "fixed:nan"])
-def test_rank_study_rejects_bad_mode_before_simulating(monkeypatch, bad):
+def _count_draws(monkeypatch) -> list:
+    """Record every outcome law built and every dataset drawn from now on."""
     calls = []
     for name in ("outcome_law", "draw_dataset"):
         monkeypatch.setattr(
             measurement, name,
             lambda *a, f=getattr(measurement, name): calls.append(1) or f(*a),
         )
+    return calls
+
+
+@pytest.mark.parametrize("bad", [
+    "fixed:-1", "fixed:x", "magic", "fixed:nan",
+    # a rank or a sample size that the sweep reaches only after some draws
+    pytest.param({"d_values": [1, 2, 9]}, id="d=9"),
+    pytest.param({"m": 0}, id="m=0"),
+])
+def test_rank_study_rejects_bad_mode_before_simulating(monkeypatch, bad):
+    calls = _count_draws(monkeypatch)
+    args = dict(m=40, d_values=[1, 2], modes=("theory",), reps=2)
+    args.update(bad if isinstance(bad, dict) else {"modes": ("theory", bad)})
     with pytest.raises(ConfigError):
-        studies.rank_study(2, 40, [1, 2], modes=("theory", bad), reps=2)
+        studies.rank_study(2, **args)
+    assert calls == []
+
+
+@pytest.mark.parametrize("d_values, m_values", [
+    pytest.param([1, 2], [40, 0], id="m=0"),
+    pytest.param([1, 2, 9], [40], id="d=9"),
+])
+def test_error_study_rejects_bad_sweep_before_simulating(monkeypatch, d_values, m_values):
+    calls = _count_draws(monkeypatch)
+    with pytest.raises(ConfigError):
+        studies.error_study(2, d_values, m_values, reps=5)
     assert calls == []
 
 
