@@ -12,7 +12,8 @@ spectrum), besides a fixed value:
   on real data.
 
 Bootstrap repetition j draws from ``measurement.stream(seed, j)``, so the
-repetitions can run in any order; see the determinism contract there.
+repetitions can be drawn in any order and on any thread; see the
+determinism contract there.
 
 ``PenaltyChoice.parse`` reads the one penalty grammar that the command line
 and the studies share, and ``resolve_penalty`` is the one evaluator.
@@ -21,6 +22,8 @@ and the studies share, and ``resolve_penalty`` is the one evaluator.
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +39,9 @@ PENALTY_GRAMMAR = "oracle | theory | bootstrap | fixed:VALUE | VALUE, VALUE fini
 # over its repetitions, which pays only while a table is small. 2^15 is the
 # largest power of two below 6^6 = 46,656: a batch holds 25 repetitions at
 # n = 4 (so the default 20 make one batch) and 4 at n = 5, and from n = 6 on
-# one, so a large run holds the memory of one repetition, as it did unbatched.
+# one, so a large run inverts one repetition at a time, as it did unbatched.
+# Batches are also the unit that worker threads draw ahead while the calling
+# thread inverts; a bootstrap of one batch draws it inline, with no threads.
 BATCH_CELLS = 2**15
 
 
@@ -136,21 +141,60 @@ def bootstrap_norms(
     operator norm of (synthetic estimate - physical state). The repetitions
     are drawn one stream each and inverted in stacked batches of at most
     ``BATCH_CELLS`` table cells; each norm has the bits of its repetition
-    inverted alone.
+    inverted alone. With more than one batch, worker threads, one per CPU in
+    the affinity mask, draw up to that many later batches while this thread
+    inverts the batches in order; the norms do not depend on the worker
+    count. This thread allocates every count buffer (a worker only fills one
+    through ``measurement.draw_counts``) and runs every traced step. A draw's
+    error reaches the caller, and the draws not yet started are cancelled.
     """
     if reps < 2:
         raise ValueError(f"bootstrap needs reps >= 2, got {reps}")
     sigma = states.nearest_density(dec.eigenvalues, dec.vectors)
     law = measurement.outcome_law(sigma)
     size = max(1, BATCH_CELLS // law.size)
-    norms = []
-    for start in range(0, reps, size):
-        ds = measurement.draw_dataset(
-            law, m, [measurement.stream(seed, j) for j in range(start, min(start + size, reps))]
-        )
-        synth = inversion.linear_estimator(measurement.empirical_frequencies(ds))
-        norms.append(states.operator_norm(synth - sigma))
-    return np.concatenate(norms)
+    batches = [[measurement.stream(seed, j) for j in range(start, min(start + size, reps))]
+               for start in range(0, reps, size)]
+
+    def norms(freqs: measurement.EmpiricalFrequencies) -> np.ndarray:
+        synth = inversion.linear_estimator(freqs)
+        return states.operator_norm(synth - sigma)
+
+    if len(batches) == 1:
+        return norms(measurement.empirical_frequencies(measurement.draw_dataset(law, m, batches[0])))
+    # imported here: concurrent.futures (with logging) would add ~10 ms to the
+    # start of every command, and only a multi-batch bootstrap uses it
+    from concurrent.futures import ThreadPoolExecutor
+
+    workers = _worker_count()
+    results = []
+    with ThreadPoolExecutor(workers) as pool:
+
+        def draw(streams: list):
+            out = np.empty((len(streams), *law.shape), dtype=np.int64)
+            return pool.submit(measurement.draw_counts, law, m, streams, out)
+
+        ahead = deque(map(draw, batches[:workers]))
+        try:
+            for later in range(workers, len(batches) + workers):
+                counts = ahead.popleft().result()
+                if later < len(batches):
+                    ahead.append(draw(batches[later]))
+                freqs = measurement.empirical_frequencies(
+                    measurement.Dataset(n=dec.n, m=m, counts=counts))
+                del counts  # freed before the inversion allocates its temporaries
+                results.append(norms(freqs))
+        finally:
+            for drawn in ahead:
+                drawn.cancel()
+    return np.concatenate(results)
+
+
+def _worker_count() -> int:
+    """One draw worker per CPU in this process's affinity mask."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def nu_bootstrap(dec: rankpen.SpectralDecomposition, m: int, reps: int, seed) -> float:

@@ -7,7 +7,7 @@ labels b of the state's Pauli coefficient times the design entry
 Tr(sigma_b P_r^a), which is what the table kernels evaluate.
 
 A ``Dataset`` records, for each of the 3^n settings, the outcome counts of
-``m`` independent repetitions, drawn with one multinomial call per dataset.
+``m`` independent repetitions, drawn from one generator per dataset.
 
 Determinism contract: every draw comes from ``stream(seed, *key)``, a pure
 function of the user seed and an integer key naming the draw, so the same
@@ -15,6 +15,9 @@ function of the user seed and an integer key naming the draw, so the same
 Keys: () for ``simulate_dataset``; (j,) for bootstrap repetition j;
 (0, d, rep) and (1, d, rep) for the dataset and bootstrap of rank-study
 point (d, rep); (0, d, m, rep) for the dataset of error-study point (d, m, rep).
+A stream's draw has the same bits on any thread and in any row chunking:
+``draw_counts`` draws a table's rows in chunks, one after another from the
+stream's one generator, which gives the bits of a single multinomial call.
 """
 
 from __future__ import annotations
@@ -30,6 +33,9 @@ from .errors import FormatError
 FREQ_ATOL = 1e-12
 _PROB_CLIP = 1e-12
 _COUNT_MAX = np.iinfo(np.int64).max
+# The most table cells that one multinomial call of ``draw_counts`` draws, so
+# the temporary it returns stays small whichever thread allocates it.
+DRAW_CHUNK_CELLS = 2**16
 
 
 @dataclass
@@ -145,18 +151,34 @@ def outcome_law(rho: np.ndarray) -> np.ndarray:
 
 
 def draw_dataset(law: np.ndarray, m: int, seed) -> Dataset:
-    """m outcomes per setting from an ``outcome_law``: one multinomial draw per stream.
+    """m outcomes per setting from an ``outcome_law``, drawn by ``draw_counts``.
 
     ``seed`` is one stream (an int or a SeedSequence), which gives one
     dataset, or a list of streams, which gives a stack of datasets in that
     order; each dataset of the stack has the bits of its stream drawn alone.
     """
     _check_repetitions(m)
-    if isinstance(seed, list):
-        counts = np.stack([np.random.default_rng(s).multinomial(m, law) for s in seed])
-    else:
-        counts = np.random.default_rng(seed).multinomial(m, law)
-    return Dataset(n=law.shape[-1].bit_length() - 1, m=m, counts=counts)
+    streams = seed if isinstance(seed, list) else [seed]
+    counts = draw_counts(law, m, streams, np.empty((len(streams), *law.shape), dtype=np.int64))
+    return Dataset(n=law.shape[-1].bit_length() - 1, m=m,
+                   counts=counts if isinstance(seed, list) else counts[0])
+
+
+def draw_counts(law: np.ndarray, m: int, streams: list, out: np.ndarray) -> np.ndarray:
+    """Fill ``out[i]`` with m outcomes per row of ``law`` drawn from ``streams[i]``; return ``out``.
+
+    ``out`` is an int64 array of shape (len(streams), *law.shape) that the
+    caller allocates. Each stream's rows are drawn in chunks of at most
+    ``DRAW_CHUNK_CELLS`` cells from one generator, in row order, which gives
+    the bits of one ``multinomial(m, law)`` call. Only the generator and the
+    chunk are touched, so a worker thread may fill a buffer.
+    """
+    rows = max(1, DRAW_CHUNK_CELLS // law.shape[-1])
+    for stream_seed, counts in zip(streams, out, strict=True):
+        rng = np.random.default_rng(stream_seed)
+        for start in range(0, len(law), rows):
+            counts[start:start + rows] = rng.multinomial(m, law[start:start + rows])
+    return out
 
 
 def _check_repetitions(m: int) -> None:

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -303,6 +304,83 @@ def test_bootstrap_batches_give_the_bits_of_a_per_repetition_loop(monkeypatch):
         ))
         expected.append(states.operator_norm(synth - sigma))
     assert norms.tolist() == expected
+
+
+def _multi_batch_bootstrap(reps: int = 9):
+    """(decomposition, m, reps, seed) of an n = 5 bootstrap of three batches."""
+    assert calibration.BATCH_CELLS // 6**5 == 4
+    ds = measurement.simulate_dataset(states.mixture(5, 2, 0.4), 30, 37)
+    dec = rankpen.spectral(inversion.linear_estimator(measurement.empirical_frequencies(ds)))
+    return dec, 30, reps, 31
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_bootstrap_bits_do_not_depend_on_the_worker_count(monkeypatch, workers):
+    dec, m, reps, seed = _multi_batch_bootstrap()
+    monkeypatch.setattr(calibration, "_worker_count", lambda: workers)
+    norms = calibration.bootstrap_norms(dec, m, reps, seed)
+    monkeypatch.undo()
+
+    sigma = states.nearest_density(dec.eigenvalues, dec.vectors)
+    expected = []
+    for j in range(reps):
+        synth = inversion.linear_estimator(measurement.empirical_frequencies(
+            measurement.simulate_dataset(sigma, m, measurement.stream(seed, j))
+        ))
+        expected.append(states.operator_norm(synth - sigma))
+    assert norms.tolist() == expected
+
+
+def test_a_one_batch_bootstrap_builds_no_executor(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a one-batch bootstrap started a thread pool")
+
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", refuse)
+    ds = measurement.simulate_dataset(states.mixture(4, 2, 0.3), 30, 5)
+    dec = rankpen.spectral(inversion.linear_estimator(measurement.empirical_frequencies(ds)))
+    assert calibration.bootstrap_norms(dec, 30, 20, 7).shape == (20,)
+
+
+def test_only_the_draws_of_a_multi_batch_bootstrap_leave_the_calling_thread(monkeypatch):
+    # the traced functions, and the inversion's temporaries, stay on this thread
+    dec, m, reps, seed = _multi_batch_bootstrap()
+    monkeypatch.setattr(calibration, "_worker_count", lambda: 2)
+    threads = {}
+    for module, name in [(measurement, "empirical_frequencies"), (inversion, "linear_estimator"),
+                         (states, "operator_norm"), (measurement, "draw_counts")]:
+        monkeypatch.setattr(module, name, lambda *a, f=getattr(module, name), name=name: (
+            threads.setdefault(name, set()).add(threading.get_ident()) or f(*a)))
+    before = threading.active_count()
+    assert calibration.bootstrap_norms(dec, m, reps, seed).shape == (reps,)
+    assert threading.active_count() == before  # the pool is gone with the call
+    main = {threading.get_ident()}
+    assert threads["empirical_frequencies"] == threads["linear_estimator"] == main
+    assert threads["operator_norm"] == main
+    assert threads["draw_counts"] and not threads["draw_counts"] & main
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failed_draw_reaches_the_caller_and_stops_later_draws(monkeypatch, workers):
+    # six batches of four; the second batch's draw fails
+    dec, m, reps, seed = _multi_batch_bootstrap(reps=24)
+    monkeypatch.setattr(calibration, "_worker_count", lambda: workers)
+    started = []
+    draw = measurement.draw_counts
+
+    def failing(law, m, streams, out):
+        batch = streams[0].spawn_key[-1] // 4
+        started.append(batch)
+        if batch == 1:
+            raise RuntimeError("draw failed")
+        return draw(law, m, streams, out)
+
+    monkeypatch.setattr(measurement, "draw_counts", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="draw failed"):
+        calibration.bootstrap_norms(dec, m, reps, seed)
+    assert threading.active_count() == before
+    # batch 1 fails while at most one batch per worker is drawn ahead of it
+    assert {0, 1} <= set(started) <= set(range(1 + workers))
 
 
 def test_bootstrap_batches_hold_one_repetition_from_six_qubits(monkeypatch):

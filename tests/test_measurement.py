@@ -123,6 +123,23 @@ def test_stream_extends_the_spawn_key_of_its_seed():
     assert root.n_children_spawned == 0
 
 
+@pytest.mark.parametrize("chunk_cells", [1, 24, 100])
+def test_a_chunked_draw_gives_the_bits_of_one_multinomial_call(monkeypatch, chunk_cells):
+    # 1 cell still draws a whole row; 24 and 100 cells split the 27 rows of
+    # n = 3 into chunks of 3 and 12 rows, the last one partial
+    law = measurement.outcome_law(states.mixture(3, 2, 0.3))
+    assert law.size > chunk_cells
+    monkeypatch.setattr(measurement, "DRAW_CHUNK_CELLS", chunk_cells)
+    streams = [measurement.stream(5, j) for j in range(3)]
+    stack = measurement.draw_dataset(law, 40, streams)
+    one = measurement.draw_dataset(law, 40, measurement.stream(5, 1))
+    expected = [np.random.default_rng(s).multinomial(40, law) for s in streams]
+    assert stack.counts.shape == (3, 27, 8)
+    for counts, reference in zip(stack.counts, expected):
+        assert np.array_equal(counts, reference)
+    assert np.array_equal(one.counts, expected[1])
+
+
 def test_simulate_counts_invariant():
     rng = np.random.default_rng(43)
     rho = random_density(4, rng)
