@@ -43,6 +43,10 @@ PENALTY_GRAMMAR = "oracle | theory | bootstrap | fixed:VALUE | VALUE, VALUE fini
 # Batches are also the unit that worker threads draw ahead while the calling
 # thread inverts; a bootstrap of one batch draws it inline, with no threads.
 BATCH_CELLS = 2**15
+# The most count cells (8 MB of int64) that the batches drawn ahead of the
+# inversion hold together, whatever the CPU count, but always one batch: up
+# to 22 batches at n = 6, 3 repetitions at n = 7 and one from n = 8 on.
+AHEAD_CELLS = 2**20
 
 
 @dataclass
@@ -142,11 +146,13 @@ def bootstrap_norms(
     are drawn one stream each and inverted in stacked batches of at most
     ``BATCH_CELLS`` table cells; each norm has the bits of its repetition
     inverted alone. With more than one batch, worker threads, one per CPU in
-    the affinity mask, draw up to that many later batches while this thread
-    inverts the batches in order; the norms do not depend on the worker
-    count. This thread allocates every count buffer (a worker only fills one
-    through ``measurement.draw_counts``) and runs every traced step. A draw's
-    error reaches the caller, and the draws not yet started are cancelled.
+    the affinity mask but no more than ``AHEAD_CELLS`` allow, draw that many
+    later batches while this thread inverts the batches in order; the norms
+    do not depend on the worker count. This thread allocates every count
+    buffer (a worker only fills one through ``measurement.draw_counts``) and
+    frees each before it allocates the next, so at most one buffer per worker
+    is live; it also runs every traced step. A draw's error reaches the
+    caller, and the draws not yet started are cancelled.
     """
     if reps < 2:
         raise ValueError(f"bootstrap needs reps >= 2, got {reps}")
@@ -166,7 +172,7 @@ def bootstrap_norms(
     # start of every command, and only a multi-batch bootstrap uses it
     from concurrent.futures import ThreadPoolExecutor
 
-    workers = _worker_count()
+    workers = min(_worker_count(), max(1, AHEAD_CELLS // (size * law.size)))
     results = []
     with ThreadPoolExecutor(workers) as pool:
 
@@ -178,11 +184,11 @@ def bootstrap_norms(
         try:
             for later in range(workers, len(batches) + workers):
                 counts = ahead.popleft().result()
-                if later < len(batches):
-                    ahead.append(draw(batches[later]))
                 freqs = measurement.empirical_frequencies(
                     measurement.Dataset(n=dec.n, m=m, counts=counts))
-                del counts  # freed before the inversion allocates its temporaries
+                del counts  # freed before the next draw's buffer and the inversion
+                if later < len(batches):
+                    ahead.append(draw(batches[later]))
                 results.append(norms(freqs))
         finally:
             for drawn in ahead:

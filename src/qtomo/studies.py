@@ -55,49 +55,32 @@ def _sweep(
     bad += [f"repetition count m={m} must be >= 1" for m in m_values if m < 1]
     if bad:
         raise ConfigError(bad[0])
-    # A repeated rank, sample size or penalty repeats records: each distinct
-    # point and choice is computed once, in the order of its first entry.
-    distinct: list[calibration.PenaltyChoice] = []
-    for _, choice in choices:
-        if choice not in distinct:
-            distinct.append(choice)
-    points = {}
-    for d in dict.fromkeys(d_values):
-        rho = states.diag_state(n, d)
-        law = measurement.outcome_law(rho)
-        for m in dict.fromkeys(m_values):
-            points[d, m] = [_point(rho, law, m, seed, key(d, m, rep), distinct)
-                            for rep in range(reps)]
     records: list[StudyRecord] = []
     for d in d_values:
+        rho = states.diag_state(n, d)
+        law = measurement.outcome_law(rho)
         for m in m_values:
-            for rep, (op_error, frob_error, picks) in enumerate(points[d, m]):
-                shared = dict(d=d, m=m, rep=rep, op_error=op_error, frob_error=frob_error)
+            for rep in range(reps):
+                stream_key = key(d, m, rep)
+                ds = measurement.draw_dataset(law, m, measurement.stream(seed, 0, *stream_key))
+                est = inversion.linear_estimator(measurement.empirical_frequencies(ds))
+                diff = est - rho
+                op_error = states.operator_norm(diff)
+                shared = dict(d=d, m=m, rep=rep, op_error=op_error,
+                              frob_error=states.frobenius_norm(diff))
                 if not choices:
                     records.append(StudyRecord(mode="none", k_hat=-1, nu=float("nan"), **shared))
+                    continue
+                dec = rankpen.spectral(est)
                 for mode, choice in choices:
-                    nu, k_hat = picks[distinct.index(choice)]
+                    if choice.mode == "oracle":  # calibration.nu_oracle, from the norm above
+                        nu = op_error**2
+                    else:
+                        nu, _details = calibration.resolve_penalty(
+                            choice, dec, m, measurement.stream(seed, 1, *stream_key))
+                    k_hat = rankpen.select_rank_threshold(dec, nu)
                     records.append(StudyRecord(mode=mode, k_hat=k_hat, nu=nu, **shared))
     return records
-
-
-def _point(rho: np.ndarray, law: np.ndarray, m: int, seed: int, stream_key: tuple,
-           penalties: list) -> tuple[float, float, list[tuple[float, int]]]:
-    """(operator error, Frobenius error, (nu, k_hat) per penalty) of one sweep point."""
-    ds = measurement.draw_dataset(law, m, measurement.stream(seed, 0, *stream_key))
-    est = inversion.linear_estimator(measurement.empirical_frequencies(ds))
-    diff = est - rho
-    op_error = states.operator_norm(diff)
-    picks = []
-    dec = rankpen.spectral(est) if penalties else None
-    for choice in penalties:
-        if choice.mode == "oracle":  # calibration.nu_oracle, from the norm above
-            nu = op_error**2
-        else:
-            nu, _details = calibration.resolve_penalty(
-                choice, dec, m, measurement.stream(seed, 1, *stream_key))
-        picks.append((nu, rankpen.select_rank_threshold(dec, nu)))
-    return op_error, states.frobenius_norm(diff), picks
 
 
 def rank_study(

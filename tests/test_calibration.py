@@ -1,5 +1,6 @@
 import math
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -381,6 +382,38 @@ def test_a_failed_draw_reaches_the_caller_and_stops_later_draws(monkeypatch, wor
     assert threading.active_count() == before
     # batch 1 fails while at most one batch per worker is drawn ahead of it
     assert {0, 1} <= set(started) <= set(range(1 + workers))
+
+
+def test_the_draws_ahead_hold_at_most_ahead_cells_whatever_the_cpu_count(monkeypatch):
+    # 8 MB of counts: three n = 7 repetitions, and one from n = 8 on
+    assert calibration.AHEAD_CELLS // 6**7 == 3
+    assert calibration.AHEAD_CELLS // 6**8 == 0
+    ds = measurement.simulate_dataset(states.ghz(6), 20, 41)
+    dec = rankpen.spectral(inversion.linear_estimator(measurement.empirical_frequencies(ds)))
+    # with room for two n = 6 repetitions, many CPUs still draw two ahead
+    monkeypatch.setattr(calibration, "AHEAD_CELLS", 2 * 6**6 + 1)
+    monkeypatch.setattr(calibration, "_worker_count", lambda: 16)
+    live, peak, threads = [0], [0], set()
+    empty, draw = np.empty, measurement.draw_counts
+
+    def buffer(shape, dtype=float):
+        out = empty(shape, dtype)
+        if out.shape[1:] == (3**6, 2**6) and out.dtype == np.int64:
+            live[0] += 1
+            peak[0] = max(peak[0], live[0])
+            weakref.finalize(out, lambda: live.__setitem__(0, live[0] - 1))
+        return out
+
+    def counting(*args):
+        threads.add(threading.get_ident())
+        return draw(*args)
+
+    monkeypatch.setattr(np, "empty", buffer)
+    monkeypatch.setattr(measurement, "draw_counts", counting)
+    norms = calibration.bootstrap_norms(dec, 20, 6, 43)
+    monkeypatch.undo()
+    assert peak == [2] and len(threads) <= 2
+    assert norms.tolist() == calibration.bootstrap_norms(dec, 20, 6, 43).tolist()
 
 
 def test_bootstrap_batches_hold_one_repetition_from_six_qubits(monkeypatch):

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -155,31 +153,3 @@ def test_error_study_draws_each_point_from_its_own_stream(monkeypatch):
         assert r.op_error == states.operator_norm(est - rho)
         assert r.frob_error == states.frobenius_norm(est - rho)
 
-
-
-def test_repeated_sweep_entries_are_computed_once(monkeypatch):
-    # a repeated rank, sample size or penalty repeats the records of its
-    # first entry; "0.3" and "fixed:0.3" are the same penalty
-    calls = []
-    for module, name in [(measurement, "draw_dataset"), (calibration, "resolve_penalty")]:
-        monkeypatch.setattr(module, name, lambda *a, f=getattr(module, name), name=name: (
-            calls.append(name) or f(*a)))
-    modes = ("theory", "oracle", "theory", "0.3", "fixed:0.3")
-    records, aggregates = studies.rank_study(2, 40, [1, 2, 1], modes=modes, reps=3, seed=5)
-    assert calls.count("draw_dataset") == 2 * 3
-    assert calls.count("resolve_penalty") == 2 * 3 * 2
-    errors, _ = studies.error_study(2, [3], [20, 20, 30], reps=2, seed=5)
-    assert calls.count("draw_dataset") == 2 * 3 + 2 * 2
-    monkeypatch.undo()
-
-    distinct, _ = studies.rank_study(2, 40, [1, 2], modes=("theory", "oracle", "0.3"), reps=3,
-                                     seed=5)
-    first = {(r.d, r.rep, r.mode): r for r in distinct}
-    same = {"theory": "theory", "oracle": "oracle", "0.3": "0.3", "fixed:0.3": "0.3"}
-    assert records == [dataclasses.replace(first[d, rep, same[mode]], mode=mode)
-                       for d in [1, 2, 1] for rep in range(3) for mode in modes]
-    assert [(a["d"], a["mode"]) for a in aggregates] == [(d, mode) for d in [1, 2, 1]
-                                                         for mode in modes]
-    distinct, _ = studies.error_study(2, [3], [20, 30], reps=2, seed=5)
-    first = {(r.m, r.rep): repr(r) for r in distinct}  # repr: nu is NaN
-    assert list(map(repr, errors)) == [first[m, rep] for m in [20, 20, 30] for rep in range(2)]
