@@ -22,6 +22,7 @@ stream's one generator, which gives the bits of a single multinomial call.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -200,9 +201,29 @@ def empirical_frequencies(dataset: Dataset) -> EmpiricalFrequencies:
 # Omitted (setting, outcome) pairs are zero; duplicates are an error; each
 # setting's counts must sum to m. save_dataset lists the nonzero cells in
 # (setting, outcome) order and writes the bytes that json.dump(obj, fh,
-# indent=2, sort_keys=True) plus a newline would write for that object;
-# load_dataset accepts any JSON layout and entry order.
+# indent=2, sort_keys=True) plus a newline would write for that object,
+# joined from the fragments below. load_dataset reads a file in exactly that
+# layout from its bytes (_dataset_from_bytes) and any other JSON layout and
+# entry order through json and dataset_from_dict; both give the same dataset,
+# or the same error, for every file.
 # ---------------------------------------------------------------------------
+
+# The file is _HEAD, the entries joined by _SEP, then _M, m, _N, n, _END; an
+# entry is _COUNT, count, _OUTCOME, outcome, _SETTING, setting, _CLOSE.
+_HEAD = '{\n  "counts": [\n'
+_COUNT = '    {\n      "count": '
+_OUTCOME = ',\n      "outcome": "'
+_SETTING = '",\n      "setting": "'
+_CLOSE = '"\n    }'
+_SEP = ",\n"
+_M = '\n  ],\n  "m": '
+_N = ',\n  "n": '
+_END = "\n}\n"
+# m and n as save_dataset writes them: no sign and no leading zero.
+_TAIL = re.compile(
+    re.escape(_M.encode()) + rb"([1-9][0-9]{0,18})" + re.escape(_N.encode())
+    + rb"([1-9][0-9]?)" + re.escape(_END.encode())
+)
 
 
 def dataset_from_dict(obj) -> Dataset:
@@ -356,24 +377,107 @@ def _check_duplicates(entries: list, cells) -> None:
 
 
 def save_dataset(path, dataset: Dataset) -> None:
-    # Entry text is head[count] + mid[outcome] + tail[setting], with the ",\n"
+    # Entry text is head[count] + mid[outcome] + tail[setting], with the
     # separator in tail: three small tables, one gather and one join.
     n = dataset.n
     settings, outcomes = np.nonzero(dataset.counts)
     values, which = np.unique(dataset.counts[settings, outcomes], return_inverse=True)
     parts = np.empty((settings.size, 3), dtype=object)
-    parts[:, 0] = np.fromiter(
-        (f'    {{\n      "count": {c},\n      "outcome": "' for c in values.tolist()), object
-    )[which]
-    parts[:, 1] = np.fromiter((f'{r}",\n      "setting": "' for r in pauli.all_outcomes(n)),
-                              object)[outcomes]
-    parts[:, 2] = np.fromiter((f'{a}"\n    }},\n' for a in pauli.all_settings(n)), object)[settings]
-    parts[-1, 2] = parts[-1, 2][:-2]  # no separator after the last entry
+    parts[:, 0] = np.fromiter((f"{_COUNT}{c}{_OUTCOME}" for c in values.tolist()), object)[which]
+    parts[:, 1] = np.fromiter((f"{r}{_SETTING}" for r in pauli.all_outcomes(n)), object)[outcomes]
+    parts[:, 2] = np.fromiter((f"{a}{_CLOSE}{_SEP}" for a in pauli.all_settings(n)),
+                              object)[settings]
+    parts[-1, 2] = parts[-1, 2][:-len(_SEP)]  # no separator after the last entry
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write('{\n  "counts": [\n')
+        fh.write(_HEAD)
         fh.write("".join(parts.ravel().tolist()))
-        fh.write(f'\n  ],\n  "m": {dataset.m},\n  "n": {n}\n}}\n')
+        fh.write(f"{_M}{dataset.m}{_N}{n}{_END}")
 
 
 def load_dataset(path) -> Dataset:
-    return dataset_from_dict(states.read_json(path))
+    """The dataset in a file: from its bytes in save_dataset's layout, else through json."""
+    with open(path, "rb") as fh:
+        dataset = _dataset_from_bytes(fh.read())
+    return dataset if dataset is not None else dataset_from_dict(states.read_json(path))
+
+
+def _dataset_from_bytes(data: bytes) -> Dataset | None:
+    """The dataset in ``data`` if it is exactly save_dataset's layout of a valid dataset, else None.
+
+    Every byte is checked against the writer's fragments, the count digits and
+    the sign and axis characters, so json would decode the same object. None
+    is returned for anything dataset_from_dict would treat otherwise than as
+    that object's dataset: a short list, an unsorted or repeated cell, a zero
+    count or a wrong row sum, and the caller then reads the file through json.
+    """
+    t = data.rfind(_M.encode())
+    tail = _TAIL.fullmatch(data, t) if t >= 0 else None
+    if tail is None or not data.startswith((_HEAD + _COUNT).encode()):
+        return None
+    m, n = int(tail[1]), int(tail[2])
+    buf = np.frombuffer(data, dtype=np.uint8)
+    braces = buf[:t] == ord("{")
+    # Checked before anything of size 3^n is built, as dataset_from_dict does.
+    if n > pauli.MAX_QUBITS or np.count_nonzero(braces) - 1 < 3**n:
+        return None
+    # Entry i starts at starts[i] and its count's digits end at q[i]. The rest
+    # of the entry, from q[i], is _OUTCOME, outcome, _SETTING, setting, _CLOSE.
+    starts = np.flatnonzero(braces)[1:] - _COUNT.index("{")
+    del braces
+    at_setting = len(_OUTCOME) + n + len(_SETTING)
+    q = np.append(starts[1:] - len(_SEP), t) - (at_setting + n + len(_CLOSE))
+    digits = q - starts - len(_COUNT)
+    if digits.min() < 1 or digits.max() > 19:
+        return None
+    if not _holds(_rows(buf, starts[1:] - len(_SEP), len(_SEP + _COUNT)), _SEP + _COUNT):
+        return None
+    rest = _rows(buf, q, at_setting + n + len(_CLOSE))
+    if not (_holds(rest[:, :len(_OUTCOME)], _OUTCOME)
+            and _holds(rest[:, at_setting - len(_SETTING):at_setting], _SETTING)
+            and _holds(rest[:, at_setting + n:], _CLOSE)):
+        return None
+    outcomes = _numerals(rest[:, len(_OUTCOME):len(_OUTCOME) + n], pauli.SIGN_CHARS)
+    settings = _numerals(rest[:, at_setting:at_setting + n], pauli.AXIS_CHARS)
+    del rest
+    # Counts are read right-aligned in the widest count's width, padded with "0".
+    width = int(digits.max())
+    padded = _rows(buf, q - width, width)
+    padded[np.arange(width) < (width - digits)[:, None]] = ord("0")
+    values = _numerals(padded, "0123456789")
+    # A leading "0" is a zero count or not a JSON number.
+    if (values is None or outcomes is None or settings is None or values.max() > _COUNT_MAX
+            or (buf[q - digits] == ord("0")).any()):
+        return None
+    values, settings = values.astype(np.int64), settings.astype(np.int64)
+    cells = settings * 2**n + outcomes.astype(np.int64)
+    sums = np.zeros(3**n, dtype=np.int64)
+    np.add.at(sums, settings, values)
+    if (np.diff(cells) <= 0).any() or (sums != m).any():
+        return None
+    counts = np.zeros(3**n * 2**n, dtype=np.int64)
+    counts[cells] = values
+    return Dataset(n=n, m=m, counts=counts.reshape(3**n, 2**n))
+
+
+def _rows(buf: np.ndarray, at: np.ndarray, width: int) -> np.ndarray:
+    """A new (len(at), width) array whose row i holds buf[at[i]:at[i] + width]."""
+    windows = np.ndarray((buf.size - width + 1, width), np.uint8, buf, strides=(1, 1))
+    return windows[at]
+
+
+def _holds(rows: np.ndarray, text: str) -> bool:
+    """Whether every row of bytes is ``text``."""
+    return bool((rows == np.frombuffer(text.encode(), np.uint8)).all())
+
+
+def _numerals(rows: np.ndarray, chars: str) -> np.ndarray | None:
+    """The number each row of bytes spells with the digits ``chars``, or None if a byte is not one."""
+    table = np.full(256, len(chars), dtype=np.uint8)
+    table[np.frombuffer(chars.encode(), np.uint8)] = np.arange(len(chars))
+    digits = table[rows]
+    if (digits == len(chars)).any():
+        return None
+    value = np.zeros(len(rows), dtype=np.uint64)
+    for column in digits.T:
+        value = value * len(chars) + column
+    return value

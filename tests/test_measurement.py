@@ -1,4 +1,5 @@
 import collections
+import io
 import json
 import math
 import random
@@ -510,3 +511,157 @@ def test_a_short_counts_list_fails_before_anything_of_size_3_to_the_n(entries, s
     assert err.value.path == "counts"
     assert str(err.value) == f"counts: setting {setting!r} sums to 0, expected m=1"
     assert peak < 2 * 2**20
+
+
+# The bytes the mutants below substitute or insert: every character of the
+# writer's layout, and digits that keep or break a count.
+MUTANT_BYTES = b'0129+-xyz{} \n,":'
+
+
+def _one_byte_mutants(data: bytes):
+    """Every substitution by a MUTANT_BYTES byte, insertion of one, and deletion of a byte."""
+    for i in range(len(data) + 1):
+        head, tail = data[:i], data[i:]
+        for c in MUTANT_BYTES:
+            yield head + bytes([c]) + tail
+            if tail and tail[0] != c:
+                yield head + bytes([c]) + tail[1:]
+        if tail:
+            yield head + tail[1:]
+
+
+def _outcome(load):
+    """The counts ``load()`` gives, or the type and message of what it raises."""
+    try:
+        return load().counts
+    except Exception as exc:  # whatever it raises is compared by type and message
+        return type(exc), str(exc)
+
+
+def _reference_load(data: bytes):
+    """dataset_from_dict of the JSON document in ``data``, with read_json's error for invalid JSON."""
+    try:
+        obj = json.loads(data.decode("utf-8"))
+    except json.JSONDecodeError as exc:
+        raise FormatError("", f"invalid JSON: {exc}") from exc
+    return measurement.dataset_from_dict(obj)
+
+
+def _same_outcome(got, expected) -> bool:
+    if isinstance(got, tuple) or isinstance(expected, tuple):
+        return got == expected
+    return np.array_equal(got, expected)
+
+
+def test_every_one_byte_mutant_loads_as_through_json(tmp_path, monkeypatch):
+    files = []
+    for n, rho, m in [(1, states.diag_state(1, 1), 12), (2, states.diag_state(2, 1), 1)]:
+        measurement.save_dataset(tmp_path / "data.json", measurement.simulate_dataset(rho, m, n))
+        files.append((tmp_path / "data.json").read_bytes())
+    # Both modules open the file through a name that serves the current
+    # mutant from memory: a file written per mutant would take most of the time.
+    current = [b""]
+
+    def serve(path, mode="r", encoding=None):
+        raw = io.BytesIO(current[0])
+        return raw if "b" in mode else io.TextIOWrapper(raw, encoding=encoding)
+
+    monkeypatch.setattr(measurement, "open", serve, raising=False)
+    monkeypatch.setattr(states, "open", serve, raising=False)
+    json_reads, read_json = [], states.read_json
+    monkeypatch.setattr(states, "read_json", lambda path: json_reads.append(path) or read_json(path))
+    mutants = 0
+    for data in files:
+        for mutant in _one_byte_mutants(data):
+            current[0] = mutant
+            got = _outcome(lambda: measurement.load_dataset("data.json"))
+            expected = _outcome(lambda: _reference_load(mutant))
+            assert _same_outcome(got, expected), mutant
+            mutants += 1
+    assert mutants > 30_000
+    # Some mutants are other valid datasets in the writer's layout and load
+    # from their bytes; the others go through json.
+    assert 0 < mutants - len(json_reads) < 100
+
+
+PERFBENCH_STATES = [
+    ("ghz", states.ghz), ("w", states.w_state), ("mixture", lambda n: states.mixture(n, 2, 0.5)),
+    *((f"diag{d}", lambda n, d=d: states.diag_state(n, d)) for d in range(1, 9)),
+]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_every_saved_dataset_loads_from_its_bytes(tmp_path, monkeypatch, n):
+    def no_json(path):
+        raise AssertionError("read through json")
+
+    monkeypatch.setattr(states, "read_json", no_json)
+    path = tmp_path / "data.json"
+    for name, state in PERFBENCH_STATES:
+        try:
+            rho = state(n)
+        except ValueError:  # GHZ, W and the mixture need n >= 2; diag d needs d <= 2^n
+            continue
+        for seed, m in enumerate([1, 100, 10**17]):
+            ds = measurement.simulate_dataset(rho, m, seed)
+            measurement.save_dataset(path, ds)
+            back = measurement.load_dataset(path)
+            assert (back.n, back.m) == (n, m), name
+            assert np.array_equal(back.counts, ds.counts), name
+
+
+def test_a_short_list_in_the_writers_layout_fails_with_the_short_list_message(tmp_path):
+    ds = measurement.simulate_dataset(states.ghz(3), 1, 2)  # one entry per setting
+    path = tmp_path / "data.json"
+    measurement.save_dataset(path, ds)
+    data = path.read_bytes()
+    entry = measurement._COUNT.encode()
+    second = data.index(entry, data.index(entry) + 1)
+    third = data.index(entry, second + 1)
+    path.write_bytes(data[:second] + data[third:])  # the writer's layout without setting 'xxy'
+    with pytest.raises(FormatError) as err:
+        measurement.load_dataset(path)
+    assert str(err.value) == "counts: setting 'xxy' sums to 0, expected m=1"
+
+
+def _writers_layout(obj) -> bytes:
+    """The bytes save_dataset writes for a dataset object (see test_saved_bytes_match_indented_json_dump)."""
+    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+
+
+@pytest.mark.parametrize(
+    "x,m",
+    [
+        ({"+": 2**63 - 1}, 2**63 - 1),
+        ({"+": 2**63}, 1),
+        ({"-": 2**63, "+": 2**63 + 1}, 1),  # the row sums to 1 in 64 bits
+        ({"+": 2**64 + 1}, 1),  # 1 in 64 bits
+        ({"+": 10**19 + 1}, 1),
+        ({"+": 1}, 10**19 - 1),
+    ],
+)
+def test_a_count_beyond_int64_in_the_writers_layout_loads_as_through_json(tmp_path, x, m):
+    entries = [{"count": c, "outcome": r, "setting": "x"} for r, c in x.items()]
+    entries += [{"count": m, "outcome": "+", "setting": a} for a in "yz"]
+    path = tmp_path / "data.json"
+    path.write_bytes(data := _writers_layout({"counts": entries, "m": m, "n": 1}))
+    expected = _outcome(lambda: _reference_load(data))
+    assert _same_outcome(_outcome(lambda: measurement.load_dataset(path)), expected)
+    assert isinstance(expected, tuple) == (x != {"+": m})
+
+
+def test_a_short_list_in_the_writers_layout_allocates_nothing_of_size_6_to_the_n(tmp_path):
+    # One entry at n = 12: the (3^12, 2^12) table would take 17 GB, the 3^12
+    # row sums 4 MB.
+    n, path = 12, tmp_path / "data.json"
+    path.write_bytes(_writers_layout(
+        {"counts": [{"count": 1, "outcome": "-" * n, "setting": "x" * n}], "m": 1, "n": n}))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError) as err:
+            measurement.load_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == f"counts: setting {'x' * (n - 1) + 'y'!r} sums to 0, expected m=1"
+    assert peak < 2**20
