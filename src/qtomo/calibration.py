@@ -69,6 +69,7 @@ class PenaltyChoice:
                 raise ConfigError(
                     f"fixed penalty needs a finite value >= 0, got {self.value!r}"
                 )
+            self.value += 0.0  # -0.0 becomes 0.0, so nu is written without a sign
         # the same checks as nu_theory and bootstrap_norms, made before any work
         if self.mode == "theory":
             if not 0.0 <= self.theta < math.inf:

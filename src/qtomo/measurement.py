@@ -23,8 +23,8 @@ stream's one generator, which gives the bits of a single multinomial call.
 from __future__ import annotations
 
 import re
+from array import array
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
@@ -241,58 +241,7 @@ def dataset_from_dict(obj) -> Dataset:
     setting_of = {} if short else {a: s for s, a in enumerate(pauli.all_settings(n))}
     outcome_of = {} if short else {r: o for o, r in enumerate(pauli.all_outcomes(n))}
     width = 2**n
-    cells_values = None if short else _cells_at_once(entries, setting_of, outcome_of, width)
-    cells, values = cells_values or _cells_one_by_one(entries, n, setting_of, outcome_of)
-    _check_duplicates(entries, cells)
-    if short:
-        bad, total = _first_short_setting(cells // width, values, m)
-        raise FormatError(
-            "counts", f"setting {pauli.setting_at(n, bad)!r} sums to {total}, expected m={m}"
-        )
-    # Row sums come from the entries, so a dataset that misses a setting
-    # fails before the (3^n, 2^n) table is allocated.
-    sums = np.zeros(3**n, dtype=np.int64)
-    np.add.at(sums, cells // width, values)
-    if (sums != m).any():
-        bad = int(np.nonzero(sums != m)[0][0])
-        raise FormatError(
-            "counts",
-            f"setting {pauli.setting_at(n, bad)!r} sums to {int(sums[bad])}, expected m={m}",
-        )
-    counts = np.zeros(3**n * width, dtype=np.int64)
-    counts[cells] = values
-    return Dataset(n=n, m=m, counts=counts.reshape(3**n, width))
-
-
-def _cells_at_once(entries: list, setting_of: dict, outcome_of: dict, width: int):
-    """(cells, counts) of well-formed entries, from a few C-level passes, else None.
-
-    An entry that is not a plain dict, a missing or unknown key, or a count
-    that is not a plain int in [0, 2^63) gives None; the walk then names the
-    first error.
-    """
-    if set(map(type, entries)) != {dict}:
-        return None
-    try:
-        counts = list(map(itemgetter("count"), entries))
-        if set(map(type, counts)) != {int}:
-            return None
-        values = np.array(counts, dtype=np.int64)
-        settings = np.fromiter(map(setting_of.__getitem__, map(itemgetter("setting"), entries)),
-                               dtype=np.int64, count=len(entries))
-        outcomes = np.fromiter(map(outcome_of.__getitem__, map(itemgetter("outcome"), entries)),
-                               dtype=np.int64, count=len(entries))
-    except (KeyError, TypeError, OverflowError):
-        return None
-    if values.min() < 0:
-        return None
-    return settings * width + outcomes, values
-
-
-def _cells_one_by_one(entries: list, n: int, setting_of: dict, outcome_of: dict):
-    """(cells, counts) of the entries, walked in order, or the first entry's FormatError."""
-    width = 2**n
-    cells, values = [], []
+    cells, values = array("q"), array("q")  # 8 bytes a cell, not an int object
     for i, entry in enumerate(entries):
         # A miss in either map covers a non-string, a bad character and a
         # wrong length; _entry_cell then finds the precise error.
@@ -311,22 +260,32 @@ def _cells_one_by_one(entries: list, n: int, setting_of: dict, outcome_of: dict)
             cell = s * width + o
         cells.append(cell)
         values.append(c)
-    return np.array(cells, dtype=np.int64), np.array(values, dtype=np.int64)
+    cells, values = np.frombuffer(cells, dtype=np.int64), np.frombuffer(values, dtype=np.int64)
+    _check_duplicates(entries, cells)
+    return Dataset(n=n, m=m, counts=_count_table(cells, values, n, m))
 
 
-def _first_short_setting(settings: np.ndarray, values: np.ndarray, m: int) -> tuple[int, int]:
-    """(index, sum) of the first setting not summing to m, given fewer entries than settings.
+def _count_table(cells: np.ndarray, values: np.ndarray, n: int, m: int) -> np.ndarray:
+    """The (3^n, 2^n) table of the cells, or the FormatError of the first setting not summing to m.
 
-    Some setting then has no entry and sums to 0, so only the settings the
-    entries name, up to the first absent one, need a sum.
+    Fewer cells than settings leave a setting at or below len(cells) unnamed,
+    so the first bad setting is one of the first len(cells) + 1, and only
+    those are summed: nothing of size 3^n is built for a list that misses a
+    setting. A later setting adds to the last slot, which is reported only
+    when the settings before it take every cell, so that none is later.
     """
-    named, where = np.unique(settings, return_inverse=True)
-    sums = np.zeros(named.size, dtype=np.int64)
-    np.add.at(sums, where, values)
-    gaps = np.nonzero(named != np.arange(named.size))[0]
-    absent = int(gaps[0]) if gaps.size else named.size
-    wrong = np.nonzero((sums != m) & (named < absent))[0]
-    return (int(named[wrong[0]]), int(sums[wrong[0]])) if wrong.size else (absent, 0)
+    width = 2**n
+    sums = np.zeros(min(3**n, len(cells) + 1), dtype=np.int64)
+    np.add.at(sums, np.minimum(cells // width, len(sums) - 1), values)
+    if (sums != m).any():
+        bad = int(np.nonzero(sums != m)[0][0])
+        raise FormatError(
+            "counts",
+            f"setting {pauli.setting_at(n, bad)!r} sums to {int(sums[bad])}, expected m={m}",
+        )
+    counts = np.zeros(3**n * width, dtype=np.int64)
+    counts[cells] = values
+    return counts.reshape(3**n, width)
 
 
 def _entry_cell(i: int, entry, n: int) -> tuple[int, int, int]:

@@ -93,8 +93,6 @@ def truncate(dec: SpectralDecomposition, k: int) -> np.ndarray:
     dim = dec.eigenvalues.size
     if not 0 <= k <= dim:
         raise ValueError(f"rank k={k} out of range [0, {dim}]")
-    if k == 0:
-        return np.zeros((dim, dim), dtype=complex)
     vk = dec.vectors[:, :k]
     return (vk * dec.eigenvalues[:k]) @ vk.conj().T
 
@@ -136,7 +134,7 @@ def penalized_error_bound(rho: np.ndarray, nu: float, theta: float) -> float:
     on the singular values s of ``rho`` (its eigenvalues ordered by absolute
     value). For a rank-d state the minimum is at most 2 c nu d.
     """
-    if theta <= 0:
+    if not theta > 0:
         raise ValueError(f"theta={theta} must be > 0")
     _check_penalty(nu)
     s = spectral(rho).singular_values

@@ -167,6 +167,13 @@ def test_fixed_penalty_choice_needs_finite_non_negative_value(value):
         calibration.PenaltyChoice(mode="fixed", value=value)
 
 
+@pytest.mark.parametrize("text", ["-0", "fixed:-0", "-0.0", "fixed:-0e3"])
+def test_a_negative_zero_penalty_is_read_as_zero(text):
+    # -0.0 == 0.0, so only the sign tells the two apart
+    choice = calibration.PenaltyChoice.parse(text, theta=0.0, eps=1.0, reps=20)
+    assert choice.value == 0.0 and math.copysign(1.0, choice.value) == 1.0
+
+
 def test_penalty_choice_rejects_unknown_mode():
     with pytest.raises(ConfigError):
         calibration.PenaltyChoice(mode="magic")

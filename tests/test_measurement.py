@@ -402,8 +402,8 @@ def test_malformed_entry_path_and_message(entry, path, message):
 
 @pytest.mark.parametrize("entry,path,message", MALFORMED_ENTRIES)
 def test_malformed_entry_in_a_full_list_path_and_message(entry, path, message):
-    # with an entry for every setting the loader takes its lookup-map path,
-    # and reports the same first error as for a short list
+    # with an entry for every setting the loader looks entries up in its
+    # setting and outcome maps, and reports the same first error as for a short list
     full = [_entry(a, "--", 0) for a in pauli.all_settings(2)]
     with pytest.raises(FormatError) as err:
         measurement.dataset_from_dict(_two_qubit_doc(entry, _entry(setting="yy"), *full))
@@ -453,7 +453,7 @@ class _Count(int):
 def test_an_unusual_entry_in_a_full_list_loads_through_the_walk(monkeypatch, alter):
     ds = measurement.simulate_dataset(random_density(4, np.random.default_rng(67)), 12, 9)
     obj = dataset_to_dict(ds)
-    assert len(obj["counts"]) >= 3**2  # a full-length list, so the vectorized path runs first
+    assert len(obj["counts"]) >= 3**2  # a full-length list, so entries are looked up in the maps first
     obj["counts"][3] = alter(obj["counts"][3])
     walked, entry_cell = [], measurement._entry_cell
     monkeypatch.setattr(
@@ -471,6 +471,9 @@ def test_an_unusual_entry_in_a_full_list_loads_through_the_walk(monkeypatch, alt
         ([_entry("z", "+", 2), _entry("y", "-", 3), _entry("x", "+", 2)],
          "setting 'y' sums to 3, expected m=2"),
         ([_entry("x", "+", 2), _entry("z", "-", 1)], "setting 'y' sums to 0, expected m=2"),
+        # as many entries as settings, so not a short list, yet one setting is absent
+        ([_entry("x", "+", 1), _entry("x", "-", 1), _entry("y", "+", 2)],
+         "setting 'z' sums to 0, expected m=2"),
     ],
 )
 def test_row_sum_error_names_first_bad_setting(entries, message):
@@ -496,7 +499,9 @@ def test_missing_settings_fail_before_the_table_is_allocated():
 
 @pytest.mark.parametrize(
     "entries,setting",
-    [([], "xxxxxxxxxxxx"), ([_entry("x" * 12, "-" * 12, 1)], "xxxxxxxxxxxy")],
+    [([], "xxxxxxxxxxxx"), ([_entry("x" * 12, "-" * 12, 1)], "xxxxxxxxxxxy"),
+     # a wrong sum named before a setting near the end of the 3^12
+     ([_entry("x" * 12, "-" * 12, 0), _entry("z" * 11 + "x", "-" * 12, 1)], "xxxxxxxxxxxx")],
 )
 def test_a_short_counts_list_fails_before_anything_of_size_3_to_the_n(entries, setting):
     # Fewer entries than the 3^12 settings cannot give each one m >= 1 counts;

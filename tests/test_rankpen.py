@@ -171,6 +171,8 @@ def test_penalized_error_bound_large_theta_limit():
     assert abs(value - 0.04) < 1e-9
     with pytest.raises(ValueError):
         rankpen.penalized_error_bound(rho, nu, 0.0)
+    with pytest.raises(ValueError):
+        rankpen.penalized_error_bound(rho, nu, float("nan"))
 
 
 def test_rank_recovery_dominates_error_tail():
