@@ -9,7 +9,6 @@ the experiment front end.
 
 from .calibration import (
     PenaltyChoice,
-    nu_bootstrap,
     nu_oracle,
     nu_theory,
     resolve_penalty,
@@ -80,7 +79,6 @@ __all__ = [
     "load_state",
     "mixture",
     "nearest_density",
-    "nu_bootstrap",
     "nu_oracle",
     "nu_theory",
     "operator_norm",

@@ -204,11 +204,6 @@ def _worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def nu_bootstrap(dec: rankpen.SpectralDecomposition, m: int, reps: int, seed) -> float:
-    """Bootstrap estimate of the oracle penalty: the squared mean of ``bootstrap_norms``."""
-    return resolve_penalty(PenaltyChoice("bootstrap", reps=reps), dec, m, seed)[0]
-
-
 def resolve_penalty(
     choice: PenaltyChoice,
     dec: rankpen.SpectralDecomposition | measurement.Dataset,

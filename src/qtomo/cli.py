@@ -205,7 +205,17 @@ def cmd_calibrate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_penalty_flags(sub) -> None:
+def _seed(text: str) -> int:
+    """The --seed value, a non-negative integer, checked as the command line is parsed."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _add_dataset_flags(sub) -> None:
+    """The dataset, --state and penalty flags of the commands that read a dataset."""
+    sub.add_argument("dataset", help="dataset JSON file")
+    sub.add_argument("--state", default=None, help="true-state JSON file (required for --penalty oracle)")
     sub.add_argument(
         "--penalty",
         default="theory",
@@ -214,7 +224,7 @@ def _add_penalty_flags(sub) -> None:
     sub.add_argument("--theta", type=float, default=0.0, help="theory-penalty theta (default 0)")
     sub.add_argument("--eps", type=float, default=1.0, help="theory-penalty eps in (0, 1] (default 1)")
     sub.add_argument("--reps", type=int, default=20, help="bootstrap repetitions (default 20)")
-    sub.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    sub.add_argument("--seed", type=_seed, default=0, help="RNG seed (default 0)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -240,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--d", type=int, default=None, help="rank of the diag/mixture state")
     p.add_argument("--p", type=float, default=None, help="mixture weight in [0, 1]")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    p.add_argument("--seed", type=_seed, default=0, help="RNG seed (default 0)")
     p.add_argument("--out", required=True, help="output dataset JSON path")
     p.set_defaults(func=cmd_simulate)
 
@@ -252,13 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
             "estimate_state.json and physical_state.json into --out"
         ),
     )
-    p.add_argument("dataset", help="dataset JSON file")
-    p.add_argument(
-        "--state",
-        default=None,
-        help="true-state JSON file (required for --penalty oracle)",
-    )
-    _add_penalty_flags(p)
+    _add_dataset_flags(p)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_estimate)
 
@@ -280,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=1.0)
     p.add_argument("--reps", type=int, default=20, help="study repetitions (default 20)")
     p.add_argument("--bootstrap-reps", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_rank_study)
 
@@ -293,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", required=True, help="comma-separated repetition counts")
     p.add_argument("--d", required=True, help="comma-separated ranks")
     p.add_argument("--reps", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_error_study)
 
@@ -303,9 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=f"CSV columns: {','.join(SPECTRUM_HEADER)} "
         "(singular values in increasing order)",
     )
-    p.add_argument("dataset", help="dataset JSON file")
-    p.add_argument("--state", default=None, help="true-state JSON file for --penalty oracle")
-    _add_penalty_flags(p)
+    _add_dataset_flags(p)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_spectrum)
 
@@ -313,9 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
         "calibrate",
         help="evaluate a penalty choice on a dataset and report it as JSON",
     )
-    p.add_argument("dataset", help="dataset JSON file")
-    p.add_argument("--state", default=None, help="true-state JSON file for --penalty oracle")
-    _add_penalty_flags(p)
+    _add_dataset_flags(p)
     p.add_argument("--out", default=None, help="report JSON path (default: stdout)")
     p.set_defaults(func=cmd_calibrate)
 

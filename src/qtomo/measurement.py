@@ -62,7 +62,7 @@ class Dataset:
             )
         if (self.counts < 0).any():
             raise ValueError("counts must be non-negative")
-        sums = self.counts.sum(axis=-1)
+        sums = self.counts.sum(axis=-1, dtype=_sum_dtype(self.counts, 2**self.n))
         if (sums != self.m).any():
             bad = tuple(np.argwhere(sums != self.m)[0])
             raise ValueError(
@@ -182,6 +182,11 @@ def draw_counts(law: np.ndarray, m: int, streams: list, out: np.ndarray) -> np.n
     return out
 
 
+def _sum_dtype(values: np.ndarray, terms: int):
+    """int64 if no sum of ``terms`` non-negative ``values`` can pass 2^63 - 1, else object (exact ints)."""
+    return np.int64 if values.max(initial=0) <= _COUNT_MAX // max(terms, 1) else object
+
+
 def _check_repetitions(m: int) -> None:
     if m < 1:
         raise ValueError(f"repetition count m={m} must be >= 1")
@@ -275,8 +280,8 @@ def _count_table(cells: np.ndarray, values: np.ndarray, n: int, m: int) -> np.nd
     when the settings before it take every cell, so that none is later.
     """
     width = 2**n
-    sums = np.zeros(min(3**n, len(cells) + 1), dtype=np.int64)
-    np.add.at(sums, np.minimum(cells // width, len(sums) - 1), values)
+    sums = np.zeros(min(3**n, len(cells) + 1), dtype=_sum_dtype(values, len(values)))
+    np.add.at(sums, np.minimum(cells // width, len(sums) - 1), values.astype(sums.dtype, copy=False))
     if (sums != m).any():
         bad = int(np.nonzero(sums != m)[0][0])
         raise FormatError(
@@ -361,13 +366,12 @@ def load_dataset(path) -> Dataset:
 
 
 def _dataset_from_bytes(data: bytes) -> Dataset | None:
-    """The dataset in ``data`` if it is exactly save_dataset's layout of a valid dataset, else None.
+    """The dataset in ``data`` if it is exactly save_dataset's layout, else None.
 
     Every byte is checked against the writer's fragments, the count digits and
-    the sign and axis characters, so json would decode the same object. None
-    is returned for anything dataset_from_dict would treat otherwise than as
-    that object's dataset: a short list, an unsorted or repeated cell, a zero
-    count or a wrong row sum, and the caller then reads the file through json.
+    the sign and axis characters, so json would decode the same object. None,
+    which the caller reads through json, is returned for a short list, an unsorted
+    or repeated cell or a zero count; a wrong row sum fails in ``_count_table``.
     """
     t = data.rfind(_M.encode())
     tail = _TAIL.fullmatch(data, t) if t >= 0 else None
@@ -407,15 +411,10 @@ def _dataset_from_bytes(data: bytes) -> Dataset | None:
     if (values is None or outcomes is None or settings is None or values.max() > _COUNT_MAX
             or (buf[q - digits] == ord("0")).any()):
         return None
-    values, settings = values.astype(np.int64), settings.astype(np.int64)
-    cells = settings * 2**n + outcomes.astype(np.int64)
-    sums = np.zeros(3**n, dtype=np.int64)
-    np.add.at(sums, settings, values)
-    if (np.diff(cells) <= 0).any() or (sums != m).any():
+    cells = settings.astype(np.int64) * 2**n + outcomes.astype(np.int64)
+    if (np.diff(cells) <= 0).any():
         return None
-    counts = np.zeros(3**n * 2**n, dtype=np.int64)
-    counts[cells] = values
-    return Dataset(n=n, m=m, counts=counts.reshape(3**n, 2**n))
+    return Dataset(n=n, m=m, counts=_count_table(cells, values.astype(np.int64), n, m))
 
 
 def _rows(buf: np.ndarray, at: np.ndarray, width: int) -> np.ndarray:

@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
+import qtomo
 from conftest import maximally_mixed
 from qtomo import calibration, inversion, measurement, rankpen, states
 from qtomo.errors import ConfigError
@@ -58,32 +59,44 @@ def test_nu_bootstrap_deterministic():
     ds = measurement.simulate_dataset(states.diag_state(2, 2), 60, 5)
     est = inversion.linear_estimator(measurement.empirical_frequencies(ds))
     dec = rankpen.spectral(est)
-    a = calibration.nu_bootstrap(dec, 60, 8, 123)
-    b = calibration.nu_bootstrap(dec, 60, 8, 123)
-    c = calibration.nu_bootstrap(dec, 60, 8, 124)
+    choice = calibration.PenaltyChoice("bootstrap", reps=8)
+    a = calibration.resolve_penalty(choice, dec, 60, 123)[0]
+    b = calibration.resolve_penalty(choice, dec, 60, 123)[0]
+    c = calibration.resolve_penalty(choice, dec, 60, 124)[0]
     assert a == b
     assert a != c
     with pytest.raises(ValueError):
-        calibration.nu_bootstrap(dec, 60, 1, 123)
+        calibration.resolve_penalty(calibration.PenaltyChoice("bootstrap", reps=1), dec, 60, 123)
 
 
 def test_nu_bootstrap_repeats_for_one_seed_sequence_object():
     ds = measurement.simulate_dataset(states.diag_state(2, 2), 100, 5)
     est = inversion.linear_estimator(measurement.empirical_frequencies(ds))
     dec = rankpen.spectral(est)
+    choice = calibration.PenaltyChoice("bootstrap", reps=5)
     ss = np.random.SeedSequence(6)
-    first = calibration.nu_bootstrap(dec, 100, 5, ss)
-    assert calibration.nu_bootstrap(dec, 100, 5, ss) == first
-    assert calibration.nu_bootstrap(dec, 100, 5, np.random.SeedSequence(6)) == first
+    first = calibration.resolve_penalty(choice, dec, 100, ss)[0]
+    assert calibration.resolve_penalty(choice, dec, 100, ss)[0] == first
+    assert calibration.resolve_penalty(choice, dec, 100, np.random.SeedSequence(6))[0] == first
 
 
 def test_nu_bootstrap_vanishes_with_many_repetitions():
     est = maximally_mixed(1)
     dec = rankpen.spectral(est)
-    small_m = calibration.nu_bootstrap(dec, 100, 10, 3)
-    large_m = calibration.nu_bootstrap(dec, 4000, 10, 3)
+    choice = calibration.PenaltyChoice("bootstrap", reps=10)
+    small_m = calibration.resolve_penalty(choice, dec, 100, 3)[0]
+    large_m = calibration.resolve_penalty(choice, dec, 4000, 3)[0]
     assert large_m < small_m
     assert large_m < 0.01
+
+
+def test_every_name_in_the_package_all_resolves():
+    # calibration.nu_bootstrap left the package with its __all__ entry
+    namespace = {}
+    exec("from qtomo import *", namespace)  # raises if a listed name is missing
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(qtomo.__all__)
+    assert all(getattr(qtomo, name) is namespace[name] for name in qtomo.__all__)
+    assert "nu_bootstrap" not in qtomo.__all__
 
 
 def test_nu_bootstrap_tracks_oracle_within_factor_three():
@@ -99,7 +112,7 @@ def test_nu_bootstrap_tracks_oracle_within_factor_three():
     ds = measurement.simulate_dataset(rho, m, np.random.SeedSequence(11))
     est = inversion.linear_estimator(measurement.empirical_frequencies(ds))
     dec = rankpen.spectral(est)
-    boot = calibration.nu_bootstrap(dec, m, 20, 13)
+    boot = calibration.resolve_penalty(calibration.PenaltyChoice("bootstrap", reps=20), dec, m, 13)[0]
     assert truth / 3.0 <= boot <= truth * 3.0
 
 
@@ -229,7 +242,6 @@ def test_resolve_penalty_modes():
     )
     assert len(details["norms"]) == 6
     assert abs(nu - float(np.mean(details["norms"])) ** 2) < 1e-12
-    assert nu == calibration.nu_bootstrap(dec, 50, 6, 31)
 
 
 @pytest.mark.parametrize("penalty", ["oracle", "theory", "bootstrap", "fixed:0.3"])

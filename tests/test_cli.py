@@ -227,6 +227,28 @@ def test_estimate_invariant_violation_exit_4(tmp_path):
     assert run("estimate", bad, "--out", tmp_path / "o") == 4
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", 2, "--m", 10, "--state", "ghz"],
+    ["estimate", "data.json"],
+    ["estimate", "data.json", "--penalty", "bootstrap"],
+    ["spectrum", "data.json"],
+    ["calibrate", "data.json"],
+    ["rank-study", "--n", 2, "--m", 10, "--d", 1],
+    ["error-study", "--n", 2, "--m", 10, "--d", 1],
+])
+def test_a_negative_seed_exits_2_before_any_file_is_read(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    run("simulate", "--n", 2, "--m", 10, "--state", "ghz", "--out", "data.json")
+    reads = []
+    monkeypatch.setattr(measurement, "load_dataset", reads.append)
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "--seed", -1, "--out", "out")
+    assert exc.value.code == 2
+    assert "argument --seed: expected a non-negative integer, got '-1'" in capsys.readouterr().err
+    assert reads == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.json"]
+
+
 def test_estimate_oracle_needs_state_exit_2(tmp_path):
     data = tmp_path / "data.json"
     run("simulate", "--n", 1, "--m", 20, "--d", 1, "--out", data)

@@ -11,6 +11,7 @@ import pytest
 
 from conftest import ReferenceTomography, dataset_to_dict, maximally_mixed, random_density
 from qtomo import _kernels, measurement, pauli, states
+from qtomo.cli import main
 from qtomo.errors import FormatError
 
 
@@ -585,8 +586,9 @@ def test_every_one_byte_mutant_loads_as_through_json(tmp_path, monkeypatch):
             mutants += 1
     assert mutants > 30_000
     # Some mutants are other valid datasets in the writer's layout and load
-    # from their bytes; the others go through json.
-    assert 0 < mutants - len(json_reads) < 100
+    # from their bytes, and a wrong row sum in the writer's layout resolves in
+    # the byte path too, with the json path's error; the others go through json.
+    assert 0 < mutants - len(json_reads) < 200
 
 
 PERFBENCH_STATES = [
@@ -632,6 +634,53 @@ def test_a_short_list_in_the_writers_layout_fails_with_the_short_list_message(tm
 def _writers_layout(obj) -> bytes:
     """The bytes save_dataset writes for a dataset object (see test_saved_bytes_match_indented_json_dump)."""
     return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+
+
+def test_a_wrong_row_sum_in_the_writers_layout_fails_without_json(tmp_path, monkeypatch):
+    path = tmp_path / "data.json"
+    measurement.save_dataset(path, measurement.simulate_dataset(states.ghz(3), 100, 4))
+    data = path.read_bytes()
+    start = data.index(measurement._COUNT.encode()) + len(measurement._COUNT)
+    end = data.index(measurement._OUTCOME.encode(), start)
+    data = data[:start] + str(int(data[start:end]) + 1).encode() + data[end:]  # first count + 1
+    path.write_bytes(data)
+    expected = _outcome(lambda: _reference_load(data))
+    assert expected == (FormatError, "counts: setting 'xxx' sums to 101, expected m=100")
+    json_reads = []
+    monkeypatch.setattr(states, "read_json", json_reads.append)
+    assert _outcome(lambda: measurement.load_dataset(path)) == expected
+    assert json_reads == []
+
+
+# Rows whose int64 sum wraps around to m: 2^64 + 1 at m = 1, and m + 2^64 at
+# m = 7 * 10^18, where every count is at most m.
+WRAPPING_ROWS = [
+    (1, [2**63 - 1, 2**63 - 1, 3, 0]),
+    (7 * 10**18, [7 * 10**18] * 3 + [2**64 - 14 * 10**18]),
+]
+
+
+@pytest.mark.parametrize("m,row", WRAPPING_ROWS)
+def test_a_row_whose_int64_sum_wraps_to_m_is_rejected(tmp_path, monkeypatch, capsys, m, row):
+    counts = np.zeros((9, 4), dtype=object)
+    counts[0], counts[1:, 0] = row, m  # setting 'xx', then one cell of m per setting
+    with pytest.raises(ValueError, match=f"setting 'xx' has {sum(row)} counts, expected m={m}"):
+        measurement.Dataset(n=2, m=m, counts=counts.astype(np.int64))
+    outcomes, settings = list(pauli.all_outcomes(2)), list(pauli.all_settings(2))
+    obj = {"counts": [{"count": int(c), "outcome": outcomes[o], "setting": settings[s]}
+                      for (s, o), c in np.ndenumerate(counts) if c], "m": m, "n": 2}
+    (tmp_path / "bytes.json").write_bytes(_writers_layout(obj))
+    (tmp_path / "indented.json").write_text(json.dumps(obj, indent=1))
+    monkeypatch.chdir(tmp_path)
+    errors = []
+    for name in ("bytes", "indented"):
+        assert main(["estimate", f"{name}.json", "--out", name]) == 4
+        errors.append(capsys.readouterr().err)
+    message = f"counts: setting 'xx' sums to {sum(row)}, expected m={m}"
+    assert errors[0] == errors[1] == f"data error: {message}\n"
+    monkeypatch.setattr(states, "read_json", lambda path: pytest.fail("read through json"))
+    with pytest.raises(FormatError, match=message):  # the writer's layout fails in the byte path
+        measurement.load_dataset("bytes.json")
 
 
 @pytest.mark.parametrize(
