@@ -212,6 +212,14 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _add_shared_flags(sub, reps: str) -> None:
+    """--theta, --eps, --reps and --seed, after --penalty; ``reps`` says what --reps counts."""
+    sub.add_argument("--theta", type=float, default=0.0, help="theory-penalty theta (default 0)")
+    sub.add_argument("--eps", type=float, default=1.0, help="theory-penalty eps in (0, 1] (default 1)")
+    sub.add_argument("--reps", type=int, default=20, help=f"{reps} repetitions (default 20)")
+    sub.add_argument("--seed", type=_seed, default=0, help="RNG seed (default 0)")
+
+
 def _add_dataset_flags(sub) -> None:
     """The dataset, --state and penalty flags of the commands that read a dataset."""
     sub.add_argument("dataset", help="dataset JSON file")
@@ -221,10 +229,7 @@ def _add_dataset_flags(sub) -> None:
         default="theory",
         help=f"{calibration.PENALTY_GRAMMAR} (default theory)",
     )
-    sub.add_argument("--theta", type=float, default=0.0, help="theory-penalty theta (default 0)")
-    sub.add_argument("--eps", type=float, default=1.0, help="theory-penalty eps in (0, 1] (default 1)")
-    sub.add_argument("--reps", type=int, default=20, help="bootstrap repetitions (default 20)")
-    sub.add_argument("--seed", type=_seed, default=0, help="RNG seed (default 0)")
+    _add_shared_flags(sub, "bootstrap")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -280,11 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"comma-separated penalty tokens, each {calibration.PENALTY_GRAMMAR} "
         "(default oracle,theory)",
     )
-    p.add_argument("--theta", type=float, default=0.0)
-    p.add_argument("--eps", type=float, default=1.0)
-    p.add_argument("--reps", type=int, default=20, help="study repetitions (default 20)")
+    _add_shared_flags(p, "study")
     p.add_argument("--bootstrap-reps", type=int, default=20)
-    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_rank_study)
 

@@ -53,7 +53,7 @@ class Dataset:
 
     def __post_init__(self):
         pauli.check_qubits(self.n)
-        _check_repetitions(self.m)
+        check_repetitions(self.m)
         self.counts = np.asarray(self.counts, dtype=np.int64)
         expected = (3**self.n, 2**self.n)
         if self.counts.shape[-2:] != expected:
@@ -129,7 +129,7 @@ def simulate_dataset(rho: np.ndarray, m: int, seed) -> Dataset:
     ``seed`` (an int or a SeedSequence) is the one stream all settings use.
     A bad ``m`` is reported before a non-physical state.
     """
-    _check_repetitions(m)
+    check_repetitions(m)
     return draw_dataset(outcome_law(rho), m, seed)
 
 
@@ -158,7 +158,7 @@ def draw_dataset(law: np.ndarray, m: int, seed) -> Dataset:
     dataset, or a list of streams, which gives a stack of datasets in that
     order; each dataset of the stack has the bits of its stream drawn alone.
     """
-    _check_repetitions(m)
+    check_repetitions(m)
     streams = seed if isinstance(seed, list) else [seed]
     counts = draw_counts(law, m, streams, np.empty((len(streams), *law.shape), dtype=np.int64))
     return Dataset(n=law.shape[-1].bit_length() - 1, m=m,
@@ -187,9 +187,12 @@ def _sum_dtype(values: np.ndarray, terms: int):
     return np.int64 if values.max(initial=0) <= _COUNT_MAX // max(terms, 1) else object
 
 
-def _check_repetitions(m: int) -> None:
+def check_repetitions(m: int) -> None:
+    """Raise ValueError unless 1 <= m <= 2^63 - 1, the most a 64-bit count holds."""
     if m < 1:
         raise ValueError(f"repetition count m={m} must be >= 1")
+    if m > _COUNT_MAX:
+        raise ValueError(f"repetition count m={m} must be <= 2^63 - 1")
 
 
 def empirical_frequencies(dataset: Dataset) -> EmpiricalFrequencies:
@@ -224,7 +227,8 @@ _SEP = ",\n"
 _M = '\n  ],\n  "m": '
 _N = ',\n  "n": '
 _END = "\n}\n"
-# m and n as save_dataset writes them: no sign and no leading zero.
+# m and n as save_dataset writes them: no sign and no leading zero. A 19-digit
+# m above 2^63 - 1 matches, and _dataset_from_bytes leaves it to json's error.
 _TAIL = re.compile(
     re.escape(_M.encode()) + rb"([1-9][0-9]{0,18})" + re.escape(_N.encode())
     + rb"([1-9][0-9]?)" + re.escape(_END.encode())
@@ -236,6 +240,8 @@ def dataset_from_dict(obj) -> Dataset:
     m = obj["m"]
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise FormatError("m", f"expected a positive integer, got {m!r}")
+    if m > _COUNT_MAX:
+        raise FormatError("m", f"{m} does not fit in a 64-bit count")
     entries = obj["counts"]
     if not isinstance(entries, list):
         raise FormatError("counts", "expected a list")
@@ -370,8 +376,9 @@ def _dataset_from_bytes(data: bytes) -> Dataset | None:
 
     Every byte is checked against the writer's fragments, the count digits and
     the sign and axis characters, so json would decode the same object. None,
-    which the caller reads through json, is returned for a short list, an unsorted
-    or repeated cell or a zero count; a wrong row sum fails in ``_count_table``.
+    which the caller reads through json, is returned for an m above 2^63 - 1, a
+    short list, an unsorted or repeated cell or a zero count; a wrong row sum
+    fails in ``_count_table``.
     """
     t = data.rfind(_M.encode())
     tail = _TAIL.fullmatch(data, t) if t >= 0 else None
@@ -381,7 +388,7 @@ def _dataset_from_bytes(data: bytes) -> Dataset | None:
     buf = np.frombuffer(data, dtype=np.uint8)
     braces = buf[:t] == ord("{")
     # Checked before anything of size 3^n is built, as dataset_from_dict does.
-    if n > pauli.MAX_QUBITS or np.count_nonzero(braces) - 1 < 3**n:
+    if m > _COUNT_MAX or n > pauli.MAX_QUBITS or np.count_nonzero(braces) - 1 < 3**n:
         return None
     # Entry i starts at starts[i] and its count's digits end at q[i]. The rest
     # of the entry, from q[i], is _OUTCOME, outcome, _SETTING, setting, _CLOSE.

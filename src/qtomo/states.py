@@ -299,17 +299,37 @@ def state_from_dict(obj) -> np.ndarray:
 
 
 def save_state(path, matrix: np.ndarray) -> None:
-    """Write a state JSON file; a non-finite entry raises before the file is opened."""
+    """Write a state JSON file; a non-finite entry raises before the file is opened.
+
+    Each entry on or above the diagonal is formatted with ``repr``. An entry
+    below it reuses the text of its mirror (j, i) when their bits match as in
+    a Hermitian matrix: equal in ``re``, negated in ``im`` (the text's sign
+    toggled). Any other entry is formatted itself, so every matrix is written
+    with the bytes of one ``repr`` per entry.
+    """
     matrix = np.asarray(matrix, dtype=complex)
     n = qubit_count(matrix)
     if not np.isfinite(matrix).all():
         raise ValueError(f"entry {np.argwhere(~np.isfinite(matrix))[0].tolist()} is not finite")
     heads = ('{\n  "im": [\n', f'\n  ],\n  "n": {n},\n  "re": [\n')
-    with open(path, "w", encoding="utf-8") as fh:  # a block at a time: less peak memory
-        for head, part in zip(heads, (matrix.imag, matrix.real)):
+    with open(path, "w", encoding="utf-8") as fh:  # a row at a time: less peak memory
+        # flip is the sign bit for im, whose mirrored entries are negated
+        for head, part, flip in zip(heads, (matrix.imag, matrix.real), (np.int64(-2**63), 0)):
             fh.write(head)
-            fh.write(",\n".join(["    [\n      " + ",\n      ".join(map(repr, r)) + "\n    ]"
-                                 for r in part.tolist()]))
+            bits = part.view(np.int64)
+            mirrored = bits == bits.T ^ flip
+            texts = np.empty(part.shape, dtype=object)  # upper texts whose mirror is not written yet
+            for i in range(len(part)):
+                row = part[i].tolist()
+                texts[i, i:] = list(map(repr, row[i:]))
+                pairs = zip(texts[:i, i].tolist(), mirrored[i, :i].tolist(), row)
+                texts[:i, i] = None
+                if flip:
+                    low = [(t[1:] if t[0] == "-" else "-" + t) if ok else repr(x) for t, ok, x in pairs]
+                else:
+                    low = [t if ok else repr(x) for t, ok, x in pairs]
+                fh.write((",\n" if i else "") + "    [\n      "
+                         + ",\n      ".join(low + texts[i, i:].tolist()) + "\n    ]")
         fh.write("\n  ]\n}\n")
 
 

@@ -52,7 +52,11 @@ def _sweep(
         raise ConfigError(f"reps={reps} must be >= 1")
     dim = 2 ** pauli.check_qubits(n)
     bad = [f"rank d={d} out of range [1, {dim}]" for d in d_values if not 1 <= d <= dim]
-    bad += [f"repetition count m={m} must be >= 1" for m in m_values if m < 1]
+    for m in m_values:
+        try:
+            measurement.check_repetitions(m)
+        except ValueError as exc:
+            bad.append(str(exc))
     if bad:
         raise ConfigError(bad[0])
     records: list[StudyRecord] = []

@@ -42,6 +42,36 @@ def test_simulate_range_error_exit_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("m", [2**63, 10**19])
+def test_simulate_m_beyond_a_64_bit_count_exit_2(tmp_path, capsys, m):
+    out = tmp_path / "x.json"
+    assert run("simulate", "--n", 1, "--m", m, "--state", "diag", "--d", 1, "--out", out) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: repetition count m={m} must be <= 2^63 - 1\n")
+    assert not out.exists()
+    assert run("simulate", "--n", 1, "--m", 2**63 - 1, "--state", "diag", "--d", 1,
+               "--out", out) == 0
+
+
+@pytest.mark.parametrize("m", [2**63, 10**19])
+def test_a_dataset_file_with_m_beyond_a_64_bit_count_exit_4(tmp_path, monkeypatch, capsys, m):
+    # Two counts of m / 2 per setting: the rows sum to m. The writer's layout
+    # (a 19-digit m fits the byte reader's pattern) and an indented copy fail
+    # with the json path's error.
+    entries = [{"count": m // 2, "outcome": r, "setting": a} for a in "xyz" for r in "-+"]
+    obj = {"counts": entries, "m": m, "n": 1}
+    (tmp_path / "layout.json").write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    (tmp_path / "indented.json").write_text(json.dumps(obj, indent=1))
+    reads = []
+    monkeypatch.setattr(states, "read_json", lambda path, f=states.read_json: reads.append(1) or f(path))
+    for name in ("layout", "indented"):
+        code = run("estimate", tmp_path / f"{name}.json", "--penalty", "bootstrap",
+                   "--out", tmp_path / name)
+        assert code == 4
+        assert capsys.readouterr().err == f"data error: m: {m} does not fit in a 64-bit count\n"
+    assert reads == [1, 1]
+
+
 def test_simulate_mixture_needs_p(tmp_path):
     code = run("simulate", "--n", 2, "--m", 10, "--state", "mixture", "--d", 2,
                "--out", tmp_path / "x.json")
@@ -377,6 +407,8 @@ def test_rank_study_bad_mode_exit_2_before_simulating(tmp_path, monkeypatch, bad
 
 @pytest.mark.parametrize("d, m, message", [
     pytest.param("1,2", "40,0", "repetition count m=0 must be >= 1", id="m=0"),
+    pytest.param("1,2", f"40,{2**63}", f"repetition count m={2**63} must be <= 2^63 - 1",
+                 id="m=2^63"),
     pytest.param("1,2,9", "40", "rank d=9 out of range [1, 4]", id="d=9"),
 ])
 def test_error_study_bad_sweep_exit_2_before_simulating(tmp_path, monkeypatch, capsys,

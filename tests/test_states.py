@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from conftest import (
     state_to_dict,
     trace_norm,
 )
-from qtomo import pauli, states
+from qtomo import pauli, rankpen, states
 from qtomo.errors import FormatError
 
 
@@ -252,11 +253,76 @@ def test_saved_state_bytes_match_indented_json_dump(tmp_path, n):
     dim = 2**n
     edges = np.empty((dim, dim), dtype=complex)
     edges.real, edges.imag = rng.choice(EDGE_VALUES, size=(2, dim, dim))
-    path = tmp_path / "state.json"
     for matrix in (random_hermitian(dim, rng), edges, np.zeros((dim, dim), dtype=complex)):
-        states.save_state(path, matrix)
-        expected = json.dumps(state_to_dict(matrix), indent=2, sort_keys=True) + "\n"
-        assert path.read_bytes() == expected.encode()
+        _assert_written_as_json_dump(tmp_path, matrix)
+
+
+def _assert_written_as_json_dump(tmp_path, matrix):
+    path = tmp_path / "state.json"
+    states.save_state(path, matrix)
+    expected = json.dumps(state_to_dict(matrix), indent=2, sort_keys=True) + "\n"
+    assert path.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_fit_states_are_written_as_json_dump_writes_them(tmp_path, n):
+    dim = 2**n
+    dec = rankpen.spectral(random_hermitian(dim, np.random.default_rng(50 + n)))
+    physical = states.nearest_density(dec.eigenvalues, dec.vectors)
+    assert np.array_equal(physical, physical.conj().T)  # every pair mirrored
+    for matrix in (physical, states.nearest_density(dec.eigenvalues, dec.vectors, 1),
+                   rankpen.truncate(dec, 0), rankpen.truncate(dec, max(dim // 2, 1)),
+                   rankpen.truncate(dec, dim)):
+        _assert_written_as_json_dump(tmp_path, matrix)
+
+
+def test_signed_zeros_in_mirrored_pairs_keep_their_text(tmp_path):
+    # In im, (+0.0, +0.0) is not a negated pair and (-0.0, +0.0) is.
+    rng = np.random.default_rng(61)
+    edges = np.empty((8, 8), dtype=complex)
+    edges.real, edges.imag = rng.choice(EDGE_VALUES, size=(2, 8, 8))
+    hermitian = edges + edges.conj().T
+    hermitian.imag[np.diag_indices(8)] = -0.0
+    hermitian.imag[0, 1] = hermitian.imag[1, 0] = 0.0
+    hermitian.imag[2, 3], hermitian.imag[3, 2] = -0.0, 0.0
+    hermitian.imag[5, 4], hermitian.imag[4, 5] = -0.0, 0.0
+    hermitian.real[6, 7], hermitian.real[7, 6] = -0.0, 0.0
+    for matrix in (hermitian, hermitian.conj(), edges):
+        _assert_written_as_json_dump(tmp_path, matrix)
+
+
+def test_a_pair_one_ulp_apart_is_formatted_twice(tmp_path):
+    matrix = random_hermitian(4, np.random.default_rng(62))
+    matrix.real[2, 0] = np.nextafter(matrix.real[0, 2], np.inf)
+    matrix.imag[3, 1] = np.nextafter(-matrix.imag[1, 3], -np.inf)
+    matrix.imag[0, 3], matrix.imag[3, 0] = 0.1, np.nextafter(-0.1, 0.0)
+    assert repr(float(matrix.imag[3, 0])) == "-0.09999999999999999"
+    _assert_written_as_json_dump(tmp_path, matrix)
+
+
+@pytest.mark.parametrize("part", ["real", "imag"])
+@pytest.mark.parametrize("at", [(3, 1), (1, 3)])
+def test_a_hermitian_matrix_with_one_broken_entry(tmp_path, part, at):
+    matrix = random_hermitian(8, np.random.default_rng(63))
+    getattr(matrix, part)[at] = 0.5
+    _assert_written_as_json_dump(tmp_path, matrix)
+
+
+def test_save_state_peak_stays_below_one_part_as_python_floats(tmp_path):
+    # Formatting a whole part at once holds its 4^n entries as Python floats,
+    # 32 bytes each with their list slot (0.52 MB at n = 7), and peaked at
+    # 1.03 MB on this matrix. Row by row, the writer holds one row's floats
+    # and at most a quarter of a part's texts.
+    n = 7
+    dec = rankpen.spectral(random_hermitian(2**n, np.random.default_rng(64)))
+    matrix = states.nearest_density(dec.eigenvalues, dec.vectors, 1)
+    tracemalloc.start()
+    try:
+        states.save_state(tmp_path / "state.json", matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4**n * 32
 
 
 @pytest.mark.parametrize("value", [complex(math.nan, 0), complex(0, math.inf), -math.inf])
