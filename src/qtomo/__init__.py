@@ -9,7 +9,7 @@ the experiment front end.
 
 from .calibration import (
     PenaltyChoice,
-    nu_oracle,
+    calibrate,
     nu_theory,
     resolve_penalty,
 )
@@ -67,6 +67,7 @@ __all__ = [
     "PenaltyChoice",
     "RankPenalizedFit",
     "SpectralDecomposition",
+    "calibrate",
     "diag_state",
     "draw_dataset",
     "empirical_frequencies",
@@ -79,7 +80,6 @@ __all__ = [
     "load_state",
     "mixture",
     "nearest_density",
-    "nu_oracle",
     "nu_theory",
     "operator_norm",
     "outcome_law",

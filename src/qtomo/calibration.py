@@ -16,7 +16,10 @@ repetitions can be drawn in any order and on any thread; see the
 determinism contract there.
 
 ``PenaltyChoice.parse`` reads the one penalty grammar that the command line
-and the studies share, and ``resolve_penalty`` is the one evaluator.
+and the studies share, and ``resolve_penalty`` is the one evaluator. The
+command line and the study sweep reach it through ``calibrate``, the one fit
+path: it inverts a dataset, scores the estimate against the true state when
+there is one, and decomposes the estimate, each once.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import math
 import os
 from collections import deque
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -94,17 +98,6 @@ class PenaltyChoice:
             except ValueError:
                 raise ConfigError(f"penalty {text!r}: expected {PENALTY_GRAMMAR}") from None
         return cls(mode, value, theta, eps, reps)
-
-
-def nu_oracle(est: np.ndarray, rho_true: np.ndarray) -> float:
-    """Squared operator norm of the estimation error against the true state.
-
-    ``est`` is the linear estimate, a Hermitian matrix.
-    """
-    rho_true = np.asarray(rho_true, dtype=complex)
-    if rho_true.shape != est.shape:
-        raise ValueError(f"dimension mismatch: estimate {est.shape}, truth {rho_true.shape}")
-    return states.operator_norm(est - rho_true) ** 2
 
 
 def nu_theory(n: int, m: int, theta: float = 0.0, eps: float = 1.0) -> float:
@@ -204,20 +197,15 @@ def _worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def resolve_penalty(
-    choice: PenaltyChoice,
-    dec: rankpen.SpectralDecomposition | measurement.Dataset,
-    m: int,
-    seed,
-    rho_true: np.ndarray | None = None,
-) -> tuple[float, dict]:
+def resolve_penalty(choice: PenaltyChoice, dec: rankpen.SpectralDecomposition, m: int, seed,
+                    op_error: float | None = None) -> tuple[float, dict]:
     """Evaluate a penalty choice; returns (nu, details for the report).
 
     ``dec`` is the ``rankpen.spectral`` decomposition of the linear estimate,
-    the one its fit reads, or the dataset the estimate is inverted from: only
-    the oracle and bootstrap modes read the estimate, so only they invert a
-    dataset, and only the bootstrap decomposes it. ``seed`` (an int or a
-    SeedSequence) drives the bootstrap draws and is ignored by the other modes.
+    the one its fit reads. ``op_error`` is the operator norm of (estimate -
+    true state), which only the oracle reads: its nu is ``op_error**2``.
+    ``seed`` (an int or a SeedSequence) drives the bootstrap draws and is
+    ignored by the other modes.
     """
     if choice.mode == "fixed":
         return float(choice.value), {}
@@ -226,18 +214,36 @@ def resolve_penalty(
             "theta": choice.theta,
             "eps": choice.eps,
         }
-    if choice.mode == "oracle" and rho_true is None:
-        raise ConfigError("oracle penalty needs the true state")
-    if isinstance(dec, measurement.Dataset):
-        est = inversion.linear_estimator(measurement.empirical_frequencies(dec))
-        if choice.mode == "oracle":
-            return nu_oracle(est, rho_true), {}
-        dec = rankpen.spectral(est)
     if choice.mode == "oracle":
-        return nu_oracle(dec.matrix, rho_true), {}
+        if op_error is None:
+            raise ConfigError("oracle penalty needs the true state")
+        return op_error**2, {}
     # bootstrap
     norms = bootstrap_norms(dec, m, choice.reps, seed)
     return float(np.mean(norms) ** 2), {
         "norms": [float(x) for x in norms],
         "reps": choice.reps,
     }
+
+
+def calibrate(dataset: measurement.Dataset, choices: Sequence[PenaltyChoice], seed,
+              rho_true: np.ndarray | None = None) -> tuple:
+    """Invert ``dataset`` once and evaluate every choice on its estimate.
+
+    Returns (dec, penalties, op_error, frob_error): the estimate's one
+    ``rankpen.spectral`` decomposition (None, and nothing decomposed, when
+    there is no choice), one (nu, details) per choice, and the operator and
+    Frobenius norms of (estimate - ``rho_true``), which the oracle reads and
+    which are None without a true state. ``seed`` drives every bootstrap choice.
+    """
+    est = inversion.linear_estimator(measurement.empirical_frequencies(dataset))
+    op_error = frob_error = None
+    if rho_true is not None:
+        rho_true = np.asarray(rho_true, dtype=complex)
+        if rho_true.shape != est.shape:
+            raise ValueError(f"dimension mismatch: estimate {est.shape}, truth {rho_true.shape}")
+        diff = est - rho_true
+        op_error, frob_error = states.operator_norm(diff), states.frobenius_norm(diff)
+    dec = rankpen.spectral(est) if choices else None
+    penalties = [resolve_penalty(choice, dec, dataset.m, seed, op_error) for choice in choices]
+    return dec, penalties, op_error, frob_error

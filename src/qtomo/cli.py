@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import calibration, inversion, measurement, rankpen, states, studies
+from . import calibration, measurement, rankpen, states, studies
 from .errors import ConfigError, FormatError
 
 RANK_STUDY_HEADER = ["d", "mode", "frequency", "mean_nu", "mean_error"]
@@ -66,8 +66,8 @@ def _build_state(args) -> np.ndarray:
     return matrix
 
 
-def _penalty_inputs(args):
-    """The parsed penalty, the oracle's true state (else None) and the dataset.
+def _calibrated(args):
+    """(mode, dec, nu, details) of the dataset's penalty, from ``calibration.calibrate``.
 
     The penalty and, for oracle, the true-state file are checked before the
     dataset is read.
@@ -80,16 +80,9 @@ def _penalty_inputs(args):
         if args.state is None:
             raise ConfigError("--penalty oracle needs --state <state JSON file>")
         rho_true = _load_true_state(args.state)
-    return choice, rho_true, measurement.load_dataset(args.dataset)
-
-
-def _estimate_with_penalty(args):
-    """The linear estimate's one spectral decomposition and its penalty: (dec, nu, mode)."""
-    choice, rho_true, dataset = _penalty_inputs(args)
-    est = inversion.linear_estimator(measurement.empirical_frequencies(dataset))
-    dec = rankpen.spectral(est)
-    nu, _details = calibration.resolve_penalty(choice, dec, dataset.m, args.seed, rho_true)
-    return dec, nu, choice.mode
+    dec, [(nu, details)], _op_error, _frob_error = calibration.calibrate(
+        measurement.load_dataset(args.dataset), [choice], args.seed, rho_true)
+    return choice.mode, dec, nu, details
 
 
 def _write_csv(path, header, rows) -> None:
@@ -123,7 +116,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    dec, nu, mode = _estimate_with_penalty(args)
+    mode, dec, nu = _calibrated(args)[:3]
     fit = rankpen.penalized_fit(dec, nu)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -175,7 +168,7 @@ def cmd_error_study(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    dec, nu, _mode = _estimate_with_penalty(args)
+    _mode, dec, nu = _calibrated(args)[:3]
     threshold = float(np.sqrt(nu))
     rows = [
         [index, value, threshold]
@@ -188,10 +181,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    # given the dataset, resolve_penalty inverts it only if the mode reads the estimate
-    choice, rho_true, dataset = _penalty_inputs(args)
-    nu, details = calibration.resolve_penalty(choice, dataset, dataset.m, args.seed, rho_true)
-    report = {"mode": choice.mode, "value": float(nu), "details": details}
+    mode, _dec, nu, details = _calibrated(args)
+    report = {"mode": mode, "value": float(nu), "details": details}
     if args.out:
         _write_json(args.out, report)
         print(f"wrote {args.out}: nu={nu!r}")
@@ -276,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="frequency of correct rank selection over simulated repetitions",
         epilog=f"CSV columns: {','.join(RANK_STUDY_HEADER)}",
     )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help="number of qubits")
+    p.add_argument("--m", type=int, required=True, help="repetitions per setting")
     p.add_argument("--d", required=True, help="comma-separated ranks, e.g. 1,2,3,4,5")
     p.add_argument(
         "--penalty",
@@ -286,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(default oracle,theory)",
     )
     _add_shared_flags(p, "study")
-    p.add_argument("--bootstrap-reps", type=int, default=20)
+    p.add_argument("--bootstrap-reps", type=int, default=20, help="bootstrap repetitions (default 20)")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_rank_study)
 
@@ -295,11 +286,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="operator-norm error of the linear estimator across d and m",
         epilog=f"CSV columns: {','.join(ERROR_STUDY_HEADER)}",
     )
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help="number of qubits")
     p.add_argument("--m", required=True, help="comma-separated repetition counts")
     p.add_argument("--d", required=True, help="comma-separated ranks")
-    p.add_argument("--reps", type=int, default=20)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--reps", type=int, default=20, help="study repetitions (default 20)")
+    p.add_argument("--seed", type=_seed, default=0, help="RNG seed (default 0)")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_error_study)
 

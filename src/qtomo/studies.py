@@ -2,9 +2,11 @@
 
 Both studies aggregate the records of one sweep, which checks every rank,
 sample size and the repetition count before its first draw. Each (d, m, rep)
-point is drawn, inverted and scored once; given penalty modes, its estimate
-is also decomposed once and every mode selects a rank from that
-decomposition, so mode comparisons are paired. Each point draws from its own
+point is drawn once and goes through ``calibration.calibrate``, the fit path
+of the command line: it is inverted and scored once, and, given penalty
+modes, its estimate is decomposed once and every mode selects a rank from
+that decomposition, so mode comparisons are paired. The oracle reads the
+operator error of the point's score. Each point draws from its own
 ``measurement.stream`` of the user seed, so records are reproducible and
 independent of execution order. The rank study keys its dataset (0, d, rep)
 and its bootstrap (1, d, rep); the error study keys its dataset (0, d, m, rep).
@@ -17,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import calibration, inversion, measurement, pauli, rankpen, states
+from . import calibration, measurement, pauli, rankpen, states
 from .errors import ConfigError
 
 
@@ -37,14 +39,15 @@ class StudyRecord:
 
 def _sweep(
     n: int, d_values: Sequence[int], m_values: Sequence[int], reps: int, seed: int,
-    key: Callable[[int, int, int], tuple], choices: Sequence[tuple] = (),
+    key: Callable[[int, int, int], tuple], modes: Sequence[str] = (),
+    choices: Sequence[calibration.PenaltyChoice] = (),
 ) -> list[StudyRecord]:
     """The records of every (d, m, rep, mode), in that order.
 
     Point (d, m, rep) draws its dataset from ``stream(seed, 0, *key(d, m, rep))``
-    and its bootstrap from ``stream(seed, 1, *key(d, m, rep))``. ``choices``
-    holds (mode, PenaltyChoice) pairs; without any, a point gives one record of
-    mode "none" with k_hat -1 and nu NaN.
+    and its bootstrap from ``stream(seed, 1, *key(d, m, rep))``. ``modes``
+    names each of ``choices`` in the records; without any choice, a point
+    gives one record of mode "none" with k_hat -1 and nu NaN.
     """
     if not d_values or not m_values:
         raise ConfigError("empty sweep")
@@ -66,24 +69,16 @@ def _sweep(
         for m in m_values:
             for rep in range(reps):
                 stream_key = key(d, m, rep)
-                ds = measurement.draw_dataset(law, m, measurement.stream(seed, 0, *stream_key))
-                est = inversion.linear_estimator(measurement.empirical_frequencies(ds))
-                diff = est - rho
-                op_error = states.operator_norm(diff)
-                shared = dict(d=d, m=m, rep=rep, op_error=op_error,
-                              frob_error=states.frobenius_norm(diff))
+                dec, penalties, op_error, frob_error = calibration.calibrate(
+                    measurement.draw_dataset(law, m, measurement.stream(seed, 0, *stream_key)),
+                    choices, measurement.stream(seed, 1, *stream_key), rho)
+                shared = dict(d=d, m=m, rep=rep, op_error=op_error, frob_error=frob_error)
                 if not choices:
                     records.append(StudyRecord(mode="none", k_hat=-1, nu=float("nan"), **shared))
-                    continue
-                dec = rankpen.spectral(est)
-                for mode, choice in choices:
-                    if choice.mode == "oracle":  # calibration.nu_oracle, from the norm above
-                        nu = op_error**2
-                    else:
-                        nu, _details = calibration.resolve_penalty(
-                            choice, dec, m, measurement.stream(seed, 1, *stream_key))
+                for mode, (nu, _details) in zip(modes, penalties):
                     k_hat = rankpen.select_rank_threshold(dec, nu)
                     records.append(StudyRecord(mode=mode, k_hat=k_hat, nu=nu, **shared))
+                del dec, penalties  # freed before the next point's bootstrap, the sweep's memory peak
     return records
 
 
@@ -107,12 +102,9 @@ def rank_study(
     """
     if not modes:
         raise ConfigError("empty penalty mode list")
-    choices = [
-        (mode, calibration.PenaltyChoice.parse(
-            mode, theta=theta, eps=eps, reps=bootstrap_reps))
-        for mode in modes
-    ]
-    records = _sweep(n, d_values, [m], reps, seed, lambda d, m, rep: (d, rep), choices)
+    choices = [calibration.PenaltyChoice.parse(mode, theta=theta, eps=eps, reps=bootstrap_reps)
+               for mode in modes]
+    records = _sweep(n, d_values, [m], reps, seed, lambda d, m, rep: (d, rep), modes, choices)
     aggregates = []
     for d in d_values:
         for mode in modes:

@@ -204,13 +204,14 @@ def test_criterion_05_oracle_penalty_magnitude():
     ref = ReferenceTomography(n)
     ref_rho = reference_diag_state(n, d)
     rho = states.diag_state(n, d)
+    oracle = calibration.PenaltyChoice("oracle")
     nus, ref_nus = [], []
     for rep in range(reps):
         ds = measurement.simulate_dataset(
             rho, m, np.random.SeedSequence(0, spawn_key=(0, d, rep))
         )
-        est = inversion.linear_estimator(measurement.empirical_frequencies(ds))
-        nus.append(calibration.nu_oracle(est, rho))
+        _dec, [(nu, _details)], _op_error, _frob_error = calibration.calibrate(ds, [oracle], 0, rho)
+        nus.append(nu)
         ref_nus.append(reference_sq_op_norm(ref.estimate(ds.counts / m) - ref_rho))
     matches = np.allclose(nus, ref_nus, rtol=1e-9, atol=0.0)
     worst = float(np.max(np.abs(np.array(nus) / np.array(ref_nus) - 1.0)))
@@ -346,12 +347,14 @@ def test_criterion_10_eckart_young_oracle():
 def test_criterion_11_oracle_inequality():
     n, d, m, theta, reps = 3, 2, 100, 1.0, 200
     rho = states.diag_state(n, d)
+    oracle = calibration.PenaltyChoice("oracle")
     violations = 0
     for rep in range(reps):
         ds = measurement.simulate_dataset(rho, m, np.random.SeedSequence(5, spawn_key=(rep,)))
-        est = inversion.linear_estimator(measurement.empirical_frequencies(ds))
-        nu = (1.0 + theta) * calibration.nu_oracle(est, rho)
-        fit = rankpen.penalized_fit(rankpen.spectral(est), nu)
+        dec, [(oracle_nu, _details)], _op_error, _frob_error = calibration.calibrate(
+            ds, [oracle], 0, rho)
+        nu = (1.0 + theta) * oracle_nu
+        fit = rankpen.penalized_fit(dec, nu)
         err = np.linalg.norm(fit.estimate - rho) ** 2
         if err > rankpen.penalized_error_bound(rho, nu, theta) + 1e-12:
             violations += 1

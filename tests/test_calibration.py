@@ -11,28 +11,55 @@ from qtomo import calibration, inversion, measurement, rankpen, states
 from qtomo.errors import ConfigError
 
 
+ORACLE = calibration.PenaltyChoice("oracle")
+
+
+def _exact_dataset(rho, m):
+    """A dataset whose counts are exactly m times the outcome law of ``rho``."""
+    counts = measurement.probability_table(rho) * m
+    assert np.allclose(counts, np.rint(counts), rtol=0.0, atol=1e-9)
+    return measurement.Dataset(n=states.qubit_count(rho), m=m, counts=np.rint(counts).astype(np.int64))
+
+
 def test_nu_oracle_zero_when_exact():
-    rho = states.ghz(2)
-    assert calibration.nu_oracle(rho, rho) == 0.0
+    # every outcome of the maximally mixed state once: the estimate is exact
+    rho = maximally_mixed(2)
+    assert calibration.calibrate(_exact_dataset(rho, 4), [ORACLE], 0, rho)[1] == [(0.0, {})]
 
 
 def test_nu_oracle_diagonal_difference():
     rho = states.diag_state(2, 2)
-    est = rho + np.diag([0.3, -0.1, 0.0, 0.0])
-    assert abs(calibration.nu_oracle(est, rho) - 0.09) < 1e-12
+    ds = _exact_dataset(np.diag([0.8, 0.2, 0.0, 0.0]).astype(complex), 20)
+    _dec, [(nu, details)], _op_error, _frob_error = calibration.calibrate(ds, [ORACLE], 0, rho)
+    assert abs(nu - 0.09) < 1e-12 and details == {}
 
 
 def test_nu_oracle_reads_the_bare_matrix():
     rho = states.mixture(2, 2, 0.3)
     ds = measurement.simulate_dataset(rho, 40, 12)
     est = inversion.linear_estimator(measurement.empirical_frequencies(ds))
-    assert calibration.nu_oracle(est, rho) == states.operator_norm(est - rho) ** 2
-    assert rankpen.spectral(est).matrix is est
+    dec, [(nu, _details)], op_error, frob_error = calibration.calibrate(ds, [ORACLE], 0, rho)
+    assert nu == states.operator_norm(est - rho) ** 2
+    assert op_error == states.operator_norm(est - rho)
+    assert frob_error == states.frobenius_norm(est - rho)
+    assert np.array_equal(dec.matrix, est)
 
 
 def test_nu_oracle_dimension_mismatch():
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        calibration.nu_oracle(states.ghz(2), states.ghz(3))
+    ds = measurement.simulate_dataset(states.ghz(2), 10, 0)
+    with pytest.raises(ValueError, match=r"dimension mismatch: estimate \(4, 4\), truth \(8, 8\)"):
+        calibration.calibrate(ds, [ORACLE], 0, states.ghz(3))
+
+
+def test_calibrate_without_choices_decomposes_nothing(monkeypatch):
+    rho = states.diag_state(2, 1)
+    ds = measurement.simulate_dataset(rho, 30, 4)
+    monkeypatch.setattr(rankpen, "spectral", lambda *a: pytest.fail("decomposed"))
+    est = inversion.linear_estimator(measurement.empirical_frequencies(ds))
+    diff = est - rho
+    assert calibration.calibrate(ds, [], 0, rho) == (
+        None, [], states.operator_norm(diff), states.frobenius_norm(diff))
+    assert calibration.calibrate(ds, [], 0) == (None, [], None, None)
 
 
 def test_nu_theory_frozen_values():
@@ -106,7 +133,7 @@ def test_nu_bootstrap_tracks_oracle_within_factor_three():
     for rep in range(40):
         ds = measurement.simulate_dataset(rho, m, np.random.SeedSequence(7, spawn_key=(rep,)))
         est = inversion.linear_estimator(measurement.empirical_frequencies(ds))
-        true_nus.append(calibration.nu_oracle(est, rho))
+        true_nus.append(states.operator_norm(est - rho) ** 2)
     truth = float(np.mean(true_nus))
 
     ds = measurement.simulate_dataset(rho, m, np.random.SeedSequence(11))
@@ -125,7 +152,7 @@ def test_nu_theory_dominates_observed_oracle():
         for rep in range(7):
             ds = measurement.simulate_dataset(rho, m, np.random.SeedSequence(23, spawn_key=(d, rep)))
             est = inversion.linear_estimator(measurement.empirical_frequencies(ds))
-            assert calibration.nu_oracle(est, rho) < bound
+            assert states.operator_norm(est - rho) ** 2 < bound
 
 
 PARSE_TABLE = [
@@ -223,10 +250,11 @@ def test_resolve_penalty_modes():
     )
     assert nu == 0.2 and details == {}
 
-    nu, _ = calibration.resolve_penalty(
-        calibration.PenaltyChoice(mode="oracle"), dec, 50, 0, rho_true=rho
+    op_error = states.operator_norm(est - rho)
+    nu, details = calibration.resolve_penalty(
+        calibration.PenaltyChoice(mode="oracle"), dec, 50, 0, op_error=op_error
     )
-    assert nu == calibration.nu_oracle(est, rho)
+    assert nu == op_error**2 and details == {}
 
     with pytest.raises(ConfigError, match="true state"):
         calibration.resolve_penalty(calibration.PenaltyChoice(mode="oracle"), dec, 50, 0)
@@ -246,14 +274,15 @@ def test_resolve_penalty_modes():
 
 @pytest.mark.parametrize("penalty", ["oracle", "theory", "bootstrap", "fixed:0.3"])
 def test_resolve_penalty_gives_the_same_bits_from_the_dataset(penalty):
-    # calibrate passes the dataset, estimate the decomposition of its inverse
+    # the fit path starts from the dataset, a library caller from the
+    # decomposition of its inverse and the oracle's operator error
     rho = states.mixture(3, 2, 0.3)
     ds = measurement.simulate_dataset(rho, 40, 47)
     dec = rankpen.spectral(inversion.linear_estimator(measurement.empirical_frequencies(ds)))
     choice = calibration.PenaltyChoice.parse(penalty, theta=0.5, eps=0.2, reps=4)
-    assert calibration.resolve_penalty(choice, ds, 40, 53, rho) == calibration.resolve_penalty(
-        choice, dec, 40, 53, rho
-    )
+    assert calibration.calibrate(ds, [choice], 53, rho)[1] == [calibration.resolve_penalty(
+        choice, dec, 40, 53, states.operator_norm(dec.matrix - rho)
+    )]
 
 
 def test_bootstrap_norms_match_per_repetition_simulation(monkeypatch):

@@ -200,15 +200,55 @@ def test_estimate_eigensolves_once_per_fit(tmp_path, monkeypatch, penalty, calls
 
 @pytest.mark.parametrize("penalty", ["theory", "fixed:0.01", "oracle", "bootstrap"])
 def test_spectrum_and_calibrate_eigensolve_only_what_they_read(tmp_path, monkeypatch, penalty):
-    # spectrum reads the one eigensystem of the linear estimate with every
-    # penalty; calibrate decomposes the estimate only for the bootstrap
+    # both read the linear estimate through the one fit path, which
+    # decomposes it once with every penalty; the bootstrap re-simulates from
+    # the physical state of that eigensystem
     data, state = _dataset_and_state(tmp_path)
     counted = _count_linalg(monkeypatch, "eigh")
     flags = ("--penalty", penalty, "--state", state, "--reps", 3)
     assert run("spectrum", data, *flags, "--out", tmp_path / "spectrum.csv") == 0
     assert len(counted) == 1
     assert run("calibrate", data, *flags, "--out", tmp_path / "calibrate.json") == 0
-    assert len(counted) == 1 + (penalty == "bootstrap")
+    assert len(counted) == 2
+
+
+def test_error_study_eigensolves_nothing(tmp_path, monkeypatch):
+    # the error study scores each estimate with operator norms and selects no rank
+    counted = _count_linalg(monkeypatch, "eigh")
+    code = run("error-study", "--n", 2, "--m", "20,40", "--d", "1,2", "--reps", 2,
+               "--out", tmp_path / "errors.csv")
+    assert code == 0
+    assert counted == []
+
+
+@pytest.mark.parametrize("penalty", ["theory", "fixed:0.01", "oracle", "bootstrap"])
+def test_estimate_spectrum_and_calibrate_agree_on_nu(tmp_path, penalty):
+    data, state = _dataset_and_state(tmp_path)
+    flags = ("--penalty", penalty, "--state", state, "--reps", 4, "--seed", 9)
+    assert run("estimate", data, *flags, "--out", tmp_path / "fit") == 0
+    assert run("spectrum", data, *flags, "--out", tmp_path / "spectrum.csv") == 0
+    assert run("calibrate", data, *flags, "--out", tmp_path / "cal.json") == 0
+    nu = json.loads((tmp_path / "fit" / "fit.json").read_text())["nu"]
+    value = json.loads((tmp_path / "cal.json").read_text())["value"]
+    rows = (tmp_path / "spectrum.csv").read_text().splitlines()[1:]
+    thresholds = {float(row.split(",")[2]).hex() for row in rows}
+    assert value.hex() == nu.hex()
+    assert thresholds == {float(np.sqrt(nu)).hex()}
+
+
+@pytest.mark.parametrize("command", ["estimate", "spectrum", "calibrate"])
+def test_oracle_state_of_the_wrong_size_exit_2_and_writes_nothing(tmp_path, capsys, command):
+    data, state = tmp_path / "data.json", tmp_path / "state.json"
+    states.save_state(state, states.ghz(3))
+    run("simulate", "--n", 4, "--m", 20, "--state", "ghz", "--out", data)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    code = run(command, data, "--penalty", "oracle", "--state", state, "--out", out)
+    assert code == 2
+    assert capsys.readouterr() == (
+        "", "configuration error: dimension mismatch: estimate (16, 16), truth (8, 8)\n"
+    )
+    assert not out.exists()
 
 
 def test_rank_study_eigensolves_once_per_dataset(tmp_path, monkeypatch):
@@ -541,10 +581,10 @@ def test_calibrate_bootstrap_details(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "penalty, mode, calls",
-    [("theory", "theory", 0), ("fixed:0.05", "fixed", 0), ("0.05", "fixed", 0),
+    [("theory", "theory", 1), ("fixed:0.05", "fixed", 1), ("0.05", "fixed", 1),
      ("bootstrap", "bootstrap", 4), ("oracle", "oracle", 1)],
 )
-def test_calibrate_inverts_the_dataset_only_when_the_mode_reads_it(
+def test_every_dataset_command_inverts_its_dataset_once(
     tmp_path, monkeypatch, capsys, penalty, mode, calls
 ):
     data, state = tmp_path / "data.json", tmp_path / "state.json"
@@ -560,12 +600,16 @@ def test_calibrate_inverts_the_dataset_only_when_the_mode_reads_it(
         return linear_estimator(f)
 
     monkeypatch.setattr(inversion, "linear_estimator", counting)
-    capsys.readouterr()
-    code = run("calibrate", data, "--penalty", penalty, "--state", state, "--reps", 3)
-    assert code == 0
+    flags = ("--penalty", penalty, "--state", state, "--reps", 3)
+    for command, out in [("estimate", "fit"), ("spectrum", "spectrum.csv"), ("calibrate", None)]:
+        of_dataset.clear()
+        inverted.clear()
+        capsys.readouterr()
+        code = run(command, data, *flags, *(("--out", tmp_path / out) if out else ()))
+        assert code == 0
+        # the dataset is inverted once; bootstrap adds its 3 synthetic datasets
+        assert (sum(of_dataset), sum(inverted)) == (1, calls)
     assert json.loads(capsys.readouterr().out)["mode"] == mode
-    # the dataset is inverted once or not at all; bootstrap adds its 3 synthetic datasets
-    assert (sum(of_dataset), sum(inverted)) == (min(calls, 1), calls)
 
 
 def test_unknown_penalty_exit_2(tmp_path):
