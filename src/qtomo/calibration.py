@@ -74,14 +74,11 @@ class PenaltyChoice:
                     f"fixed penalty needs a finite value >= 0, got {self.value!r}"
                 )
             self.value += 0.0  # -0.0 becomes 0.0, so nu is written without a sign
-        # the same checks as nu_theory and bootstrap_norms, made before any work
+        # the evaluators' own checks, made before any work
         if self.mode == "theory":
-            if not 0.0 <= self.theta < math.inf:
-                raise ConfigError(f"theta={self.theta} must be finite and >= 0")
-            if not 0.0 < self.eps <= 1.0:
-                raise ConfigError(f"eps={self.eps} out of (0, 1]")
-        if self.mode == "bootstrap" and self.reps < 2:
-            raise ConfigError(f"bootstrap needs reps >= 2, got {self.reps}")
+            nu_theory(1, 1, self.theta, self.eps)
+        if self.mode == "bootstrap":
+            _check_reps(self.reps)
 
     @classmethod
     def parse(cls, text: str, *, theta: float, eps: float, reps: int) -> PenaltyChoice:
@@ -113,12 +110,11 @@ def nu_theory(n: int, m: int, theta: float = 0.0, eps: float = 1.0) -> float:
     probability guarantee.
     """
     pauli.check_qubits(n)
-    if m < 1:
-        raise ValueError(f"repetition count m={m} must be >= 1")
+    measurement.check_repetitions(m)
     if not 0.0 <= theta < math.inf:
-        raise ValueError(f"theta={theta} must be finite and >= 0")
+        raise ConfigError(f"theta={theta} must be finite and >= 0")
     if not 0.0 < eps <= 1.0:
-        raise ValueError(f"eps={eps} out of (0, 1]")
+        raise ConfigError(f"eps={eps} out of (0, 1]")
     return (
         32.0
         * (1.0 + theta)
@@ -148,8 +144,8 @@ def bootstrap_norms(
     is live; it also runs every traced step. A draw's error reaches the
     caller, and the draws not yet started are cancelled.
     """
-    if reps < 2:
-        raise ValueError(f"bootstrap needs reps >= 2, got {reps}")
+    _check_reps(reps)
+    measurement.check_repetitions(m)
     sigma = states.nearest_density(dec.eigenvalues, dec.vectors)
     law = measurement.outcome_law(sigma)
     size = max(1, BATCH_CELLS // law.size)
@@ -161,7 +157,10 @@ def bootstrap_norms(
         return states.operator_norm(synth - sigma)
 
     if len(batches) == 1:
-        return norms(measurement.empirical_frequencies(measurement.draw_dataset(law, m, batches[0])))
+        counts = measurement.draw_counts(law, m, batches[0], np.empty((reps, *law.shape), dtype=np.int64))
+        freqs = measurement.empirical_frequencies(measurement.Dataset(n=dec.n, m=m, counts=counts))
+        del counts  # freed before the inversion, as in the threaded branch
+        return norms(freqs)
     # imported here: concurrent.futures (with logging) would add ~10 ms to the
     # start of every command, and only a multi-batch bootstrap uses it
     from concurrent.futures import ThreadPoolExecutor
@@ -188,6 +187,11 @@ def bootstrap_norms(
             for drawn in ahead:
                 drawn.cancel()
     return np.concatenate(results)
+
+
+def _check_reps(reps: int) -> None:
+    if reps < 2:
+        raise ConfigError(f"bootstrap needs reps >= 2, got {reps}")
 
 
 def _worker_count() -> int:

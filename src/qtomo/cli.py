@@ -174,8 +174,8 @@ def cmd_spectrum(args) -> int:
         [index, value, threshold]
         for index, value in enumerate(dec.singular_values[::-1].tolist(), start=1)
     ]
+    above = rankpen.select_rank_threshold(dec, nu)
     _write_csv(args.out, SPECTRUM_HEADER, rows)
-    above = sum(1 for r in rows if r[1] >= r[2])
     print(f"wrote {args.out}: {len(rows)} singular values, {above} above threshold")
     return 0
 
@@ -323,9 +323,6 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
     except FormatError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 4

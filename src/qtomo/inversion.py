@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from . import _kernels, pauli, states
-from .measurement import EmpiricalFrequencies
+from .measurement import EmpiricalFrequencies, check_repetitions
 
 # diag(E.T @ E) of one qubit: 6 for the identity, 2 for x, y and z
 _GRAM_1Q = (_kernels.E**2).sum(axis=0)
@@ -68,8 +68,7 @@ def variance_bound(b: str, m: int) -> float:
 
     Equals 1 / (3^degree(b) * 4^n * m); sharp for the maximally mixed state.
     """
-    if m < 1:
-        raise ValueError(f"repetition count m={m} must be >= 1")
+    check_repetitions(m)
     n = len(b)
     d = pauli.degree(b)
     return 1.0 / (3.0**d * 4.0**n * m)
@@ -87,8 +86,7 @@ def hoeffding_radius(n: int, m: int, eps: float) -> float:
     -ln eps term, leaving no probability guarantee.
     """
     pauli.check_qubits(n)
-    if m < 1:
-        raise ValueError(f"repetition count m={m} must be >= 1")
+    check_repetitions(m)
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"eps={eps} out of (0, 1]")
     return 4.0 * math.sqrt(

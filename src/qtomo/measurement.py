@@ -89,7 +89,8 @@ class EmpiricalFrequencies:
             raise ValueError(
                 f"values shape {self.values.shape} does not match {expected}"
             )
-        if (self.values < -FREQ_ATOL).any() or (self.values > 1 + FREQ_ATOL).any():
+        # min and max are NaN when an entry is, which fails the comparison
+        if not (self.values.min() >= -FREQ_ATOL and self.values.max() <= 1 + FREQ_ATOL):
             raise ValueError("frequencies must lie in [0, 1]")
         dev = np.abs(self.values.sum(axis=-1) - 1.0).max()
         if dev > FREQ_ATOL:
@@ -154,15 +155,12 @@ def outcome_law(rho: np.ndarray) -> np.ndarray:
 def draw_dataset(law: np.ndarray, m: int, seed) -> Dataset:
     """m outcomes per setting from an ``outcome_law``, drawn by ``draw_counts``.
 
-    ``seed`` is one stream (an int or a SeedSequence), which gives one
-    dataset, or a list of streams, which gives a stack of datasets in that
-    order; each dataset of the stack has the bits of its stream drawn alone.
+    ``seed`` is one stream (an int or a SeedSequence); ``draw_counts`` draws
+    a stack of datasets, one stream each.
     """
     check_repetitions(m)
-    streams = seed if isinstance(seed, list) else [seed]
-    counts = draw_counts(law, m, streams, np.empty((len(streams), *law.shape), dtype=np.int64))
-    return Dataset(n=law.shape[-1].bit_length() - 1, m=m,
-                   counts=counts if isinstance(seed, list) else counts[0])
+    counts = draw_counts(law, m, [seed], np.empty((1, *law.shape), dtype=np.int64))
+    return Dataset(n=law.shape[-1].bit_length() - 1, m=m, counts=counts[0])
 
 
 def draw_counts(law: np.ndarray, m: int, streams: list, out: np.ndarray) -> np.ndarray:

@@ -63,9 +63,15 @@ def qubit_count(matrix: np.ndarray) -> int:
     return pauli.check_qubits(n)
 
 
+def _check_finite(matrix: np.ndarray) -> None:
+    if not np.isfinite(matrix).all():
+        raise ValueError(f"entry {np.argwhere(~np.isfinite(matrix))[0].tolist()} is not finite")
+
+
 def require_hermitian(matrix: np.ndarray) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=complex)
     qubit_count(matrix)
+    _check_finite(matrix)
     dev = np.abs(matrix - matrix.conj().T).max()
     if dev > HERMITIAN_ATOL:
         raise ValueError(f"matrix is not Hermitian: max deviation {dev:.3e} > {HERMITIAN_ATOL:.1e}")
@@ -121,9 +127,6 @@ def pauli_expand(matrix: np.ndarray) -> np.ndarray:
     t = matrix.reshape((2,) * (2 * n))
     t = np.transpose(t, _interleave_perm(n)).reshape((4,) * n)
     coeffs = _per_qubit(_EXPAND_1Q, t, n).reshape(-1)
-    resid = np.abs(coeffs.imag).max() if coeffs.size else 0.0
-    if resid > 1e-10:
-        raise ValueError(f"imaginary residue {resid:.3e} in Pauli coefficients")
     return np.ascontiguousarray(coeffs.real)
 
 
@@ -309,8 +312,7 @@ def save_state(path, matrix: np.ndarray) -> None:
     """
     matrix = np.asarray(matrix, dtype=complex)
     n = qubit_count(matrix)
-    if not np.isfinite(matrix).all():
-        raise ValueError(f"entry {np.argwhere(~np.isfinite(matrix))[0].tolist()} is not finite")
+    _check_finite(matrix)
     heads = ('{\n  "im": [\n', f'\n  ],\n  "n": {n},\n  "re": [\n')
     with open(path, "w", encoding="utf-8") as fh:  # a row at a time: less peak memory
         # flip is the sign bit for im, whose mirrored entries are negated

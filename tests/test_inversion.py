@@ -68,8 +68,9 @@ def test_linear_estimator_returns_the_complex_matrix(n):
     )
     assert type(one) is np.ndarray and one.dtype == complex
     assert one.shape == (2**n, 2**n)
+    counts = measurement.draw_counts(law, 20, [51, 52, 53], np.empty((3, *law.shape), dtype=np.int64))
     stack = inversion.linear_estimator(
-        measurement.empirical_frequencies(measurement.draw_dataset(law, 20, [51, 52, 53]))
+        measurement.empirical_frequencies(measurement.Dataset(n=n, m=20, counts=counts))
     )
     assert type(stack) is np.ndarray and stack.dtype == complex
     assert stack.shape == (3, 2**n, 2**n)
