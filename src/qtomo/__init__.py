@@ -13,7 +13,7 @@ from .calibration import (
     nu_theory,
     resolve_penalty,
 )
-from .errors import ConfigError, DimensionLimitError, FormatError
+from .errors import ConfigError, FormatError
 from .inversion import (
     hoeffding_radius,
     invert_coefficients,
@@ -61,7 +61,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError",
     "Dataset",
-    "DimensionLimitError",
     "EmpiricalFrequencies",
     "FormatError",
     "PenaltyChoice",

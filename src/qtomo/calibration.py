@@ -69,11 +69,9 @@ class PenaltyChoice:
                 f"unknown penalty mode {self.mode!r}, expected one of {PENALTY_MODES}"
             )
         if self.mode == "fixed":
-            if self.value is None or not 0.0 <= self.value < math.inf:
-                raise ConfigError(
-                    f"fixed penalty needs a finite value >= 0, got {self.value!r}"
-                )
-            self.value += 0.0  # -0.0 becomes 0.0, so nu is written without a sign
+            if self.value is None:
+                raise ConfigError("fixed penalty needs a value")
+            self.value = rankpen.check_penalty(self.value) + 0.0  # -0.0 is written as 0.0
         # the evaluators' own checks, made before any work
         if self.mode == "theory":
             nu_theory(1, 1, self.theta, self.eps)
@@ -107,7 +105,7 @@ def nu_theory(n: int, m: int, theta: float = 0.0, eps: float = 1.0) -> float:
     at or above it once the d-th eigenvalue of the truth is at least
     2 sqrt(nu): the rank is then selected correctly. With eps = 1 (the CLI
     and study default) the -ln eps term drops and the bound carries no
-    probability guarantee.
+    probability guarantee. An overflowing nu raises ConfigError.
     """
     pauli.check_qubits(n)
     measurement.check_repetitions(m)
@@ -115,12 +113,8 @@ def nu_theory(n: int, m: int, theta: float = 0.0, eps: float = 1.0) -> float:
         raise ConfigError(f"theta={theta} must be finite and >= 0")
     if not 0.0 < eps <= 1.0:
         raise ConfigError(f"eps={eps} out of (0, 1]")
-    return (
-        32.0
-        * (1.0 + theta)
-        * (4.0 / 3.0) ** n
-        * (n * math.log(2.0) - math.log(eps))
-        / m
+    return rankpen.check_penalty(
+        32.0 * (1.0 + theta) * (4.0 / 3.0) ** n * (n * math.log(2.0) - math.log(eps)) / m
     )
 
 

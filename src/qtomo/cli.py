@@ -92,10 +92,12 @@ def _write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _write_json(path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _json_text(obj) -> str:
+    """Strict JSON text, made before any output file: NaN or inf raises ConfigError."""
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        raise ConfigError("an output value is not finite, which JSON cannot hold") from None
 
 
 # ---------------------------------------------------------------------------
@@ -118,14 +120,15 @@ def cmd_simulate(args) -> int:
 def cmd_estimate(args) -> int:
     mode, dec, nu = _calibrated(args)[:3]
     fit = rankpen.penalized_fit(dec, nu)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "fit.json", {
+    text = _json_text({
         "nu": fit.nu,
         "k_hat": fit.k_hat,
         "singular_values": dec.singular_values.tolist(),
         "objective": fit.objective.tolist(),
     })
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "fit.json").write_text(text, encoding="utf-8")
     states.save_state(out_dir / "estimate_state.json", fit.estimate)
     states.save_state(out_dir / "physical_state.json", fit.physical_estimate)
     print(f"penalty mode={mode} nu={nu!r} threshold={float(np.sqrt(nu))!r}")
@@ -182,12 +185,12 @@ def cmd_spectrum(args) -> int:
 
 def cmd_calibrate(args) -> int:
     mode, _dec, nu, details = _calibrated(args)
-    report = {"mode": mode, "value": float(nu), "details": details}
+    text = _json_text({"mode": mode, "value": float(nu), "details": details})
     if args.out:
-        _write_json(args.out, report)
+        Path(args.out).write_text(text, encoding="utf-8")
         print(f"wrote {args.out}: nu={nu!r}")
     else:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(text, end="")
     return 0
 
 

@@ -15,7 +15,3 @@ class FormatError(ValueError):
 
 class ConfigError(ValueError):
     """Invalid run configuration (bad ranges, unknown names, missing flags)."""
-
-
-class DimensionLimitError(ValueError):
-    """Qubit count exceeds the configured dimension limit."""

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels, pauli, states
-from .errors import FormatError
+from .errors import ConfigError, FormatError
 
 FREQ_ATOL = 1e-12
 _PROB_CLIP = 1e-12
@@ -113,6 +113,7 @@ def probability_table(rho: np.ndarray) -> np.ndarray:
 def stream(seed, *key: int) -> np.random.SeedSequence:
     """Stream ``key`` under ``seed``: ``SeedSequence(seed, spawn_key=key)``.
 
+    ``seed`` is a non-negative integer or a SeedSequence, else ConfigError.
     A SeedSequence seed keeps its entropy and pool size and gets ``key``
     appended to its spawn key. Nothing is mutated, so a repeated call gives
     the same stream; ``stream(s, j)`` is child j of a fresh ``s.spawn``.
@@ -121,13 +122,15 @@ def stream(seed, *key: int) -> np.random.SeedSequence:
         return np.random.SeedSequence(
             seed.entropy, spawn_key=(*seed.spawn_key, *key), pool_size=seed.pool_size
         )
-    return np.random.SeedSequence(seed, spawn_key=key)
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer or a SeedSequence, got {seed!r}")
+    return np.random.SeedSequence(int(seed), spawn_key=key)
 
 
 def simulate_dataset(rho: np.ndarray, m: int, seed) -> Dataset:
     """Draw m outcomes for each of the 3^n settings from the exact law.
 
-    ``seed`` (an int or a SeedSequence) is the one stream all settings use.
+    ``seed``, read by ``stream``, is the one stream all settings use.
     A bad ``m`` is reported before a non-physical state.
     """
     check_repetitions(m)
@@ -155,11 +158,11 @@ def outcome_law(rho: np.ndarray) -> np.ndarray:
 def draw_dataset(law: np.ndarray, m: int, seed) -> Dataset:
     """m outcomes per setting from an ``outcome_law``, drawn by ``draw_counts``.
 
-    ``seed`` is one stream (an int or a SeedSequence); ``draw_counts`` draws
-    a stack of datasets, one stream each.
+    ``seed`` is read by ``stream``; ``draw_counts`` draws a stack of datasets,
+    one stream each.
     """
     check_repetitions(m)
-    counts = draw_counts(law, m, [seed], np.empty((1, *law.shape), dtype=np.int64))
+    counts = draw_counts(law, m, [stream(seed)], np.empty((1, *law.shape), dtype=np.int64))
     return Dataset(n=law.shape[-1].bit_length() - 1, m=m, counts=counts[0])
 
 
@@ -186,11 +189,11 @@ def _sum_dtype(values: np.ndarray, terms: int):
 
 
 def check_repetitions(m: int) -> None:
-    """Raise ValueError unless 1 <= m <= 2^63 - 1, the most a 64-bit count holds."""
+    """Raise ConfigError unless 1 <= m <= 2^63 - 1, the most a 64-bit count holds."""
     if m < 1:
-        raise ValueError(f"repetition count m={m} must be >= 1")
+        raise ConfigError(f"repetition count m={m} must be >= 1")
     if m > _COUNT_MAX:
-        raise ValueError(f"repetition count m={m} must be <= 2^63 - 1")
+        raise ConfigError(f"repetition count m={m} must be <= 2^63 - 1")
 
 
 def empirical_frequencies(dataset: Dataset) -> EmpiricalFrequencies:

@@ -26,7 +26,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import DimensionLimitError
+from .errors import ConfigError
 
 # 2^12 = 4096 keeps dense 2^n x 2^n matrices tractable; override at your own
 # risk for larger systems.
@@ -38,15 +38,13 @@ SIGN_CHARS = "-+"
 
 
 def check_qubits(n: int) -> int:
-    """Validate a qubit count against the configured dimension limit."""
+    """Validate a qubit count against the configured dimension limit; raises ConfigError."""
     if not isinstance(n, (int, np.integer)):
-        raise ValueError(f"qubit count must be an integer, got {n!r}")
+        raise ConfigError(f"qubit count must be an integer, got {n!r}")
     if n < 1:
-        raise ValueError(f"qubit count must be >= 1, got {n}")
+        raise ConfigError(f"qubit count must be >= 1, got {n}")
     if n > MAX_QUBITS:
-        raise DimensionLimitError(
-            f"n={n} exceeds the configured limit of {MAX_QUBITS} qubits"
-        )
+        raise ConfigError(f"n={n} exceeds the configured limit of {MAX_QUBITS} qubits")
     return int(n)
 
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import states
+from .errors import ConfigError
 
 
 @dataclass
@@ -67,9 +68,11 @@ def _tail_sums(s: np.ndarray) -> np.ndarray:
     return np.append(np.cumsum(s[::-1] ** 2)[::-1], 0.0)
 
 
-def _check_penalty(nu: float) -> None:
+def check_penalty(nu: float) -> float:
+    """nu if it is finite and >= 0, else ConfigError."""
     if not 0.0 <= nu < np.inf:
-        raise ValueError(f"penalty nu={nu} must be finite and >= 0")
+        raise ConfigError(f"penalty nu={nu} must be finite and >= 0")
+    return nu
 
 
 def spectral(matrix: np.ndarray) -> SpectralDecomposition:
@@ -103,7 +106,7 @@ def select_rank_threshold(dec: SpectralDecomposition, nu: float) -> int:
     The comparison is non-strict, so a singular value exactly at the
     threshold is selected.
     """
-    _check_penalty(nu)
+    check_penalty(nu)
     return int(np.count_nonzero(dec.singular_values >= np.sqrt(nu)))
 
 
@@ -114,7 +117,8 @@ def penalized_fit(dec: SpectralDecomposition, nu: float) -> RankPenalizedFit:
     its penalty reads too, so a fit and its penalty share one eigensolve.
     """
     k_hat = select_rank_threshold(dec, nu)
-    objective = _tail_sums(dec.singular_values) + nu * np.arange(dec.singular_values.size + 1)
+    with np.errstate(over="ignore"):  # nu * k may overflow to inf
+        objective = _tail_sums(dec.singular_values) + nu * np.arange(dec.singular_values.size + 1)
     physical_rank = max(k_hat, 1)
     return RankPenalizedFit(
         nu=float(nu),
@@ -136,7 +140,7 @@ def penalized_error_bound(rho: np.ndarray, nu: float, theta: float) -> float:
     """
     if not theta > 0:
         raise ValueError(f"theta={theta} must be > 0")
-    _check_penalty(nu)
+    check_penalty(nu)
     s = spectral(rho).singular_values
     c = 1.0 + 2.0 / theta
     values = c**2 * _tail_sums(s) + 2.0 * c * nu * np.arange(s.size + 1)

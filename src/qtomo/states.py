@@ -23,7 +23,7 @@ import numpy as np
 
 from . import pauli
 from ._kernels import _interleave_perm, _per_qubit
-from .errors import FormatError
+from .errors import ConfigError, FormatError
 
 HERMITIAN_ATOL = 1e-12
 TRACE_ATOL = 1e-10
@@ -81,7 +81,7 @@ def require_hermitian(matrix: np.ndarray) -> np.ndarray:
 def require_density(matrix: np.ndarray) -> np.ndarray:
     """Validate the density-matrix invariants: Hermitian, unit trace, PSD."""
     matrix = require_hermitian(matrix)
-    tr = matrix.trace().real
+    tr = float(matrix.trace().real)  # no numpy type in the message
     if abs(tr - 1.0) > TRACE_ATOL:
         raise ValueError(f"trace {tr!r} differs from 1 by more than {TRACE_ATOL:.1e}")
     w_min = np.linalg.eigvalsh(matrix)[0]
@@ -156,11 +156,11 @@ def pauli_assemble(coeffs: np.ndarray) -> np.ndarray:
 
 
 def diag_state(n: int, d: int) -> np.ndarray:
-    """Rank-d diagonal state: first d diagonal entries 1/d, rest zero."""
+    """Rank-d diagonal state: first d diagonal entries 1/d, rest zero; 1 <= d <= 2^n."""
     pauli.check_qubits(n)
     dim = 2**n
     if not 1 <= d <= dim:
-        raise ValueError(f"rank d={d} out of range [1, {dim}]")
+        raise ConfigError(f"rank d={d} out of range [1, {dim}]")
     w = np.zeros(dim)
     w[:d] = 1.0 / d
     return np.diag(w).astype(complex)

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import ReferenceTomography, label_degrees
 from qtomo import _kernels, pauli, states
-from qtomo.errors import DimensionLimitError
+from qtomo.errors import ConfigError
 
 
 def _unit(b: str) -> np.ndarray:
@@ -142,7 +142,7 @@ def test_validation_rejects_bad_characters():
 
 
 def test_dimension_limit():
-    with pytest.raises(DimensionLimitError):
+    with pytest.raises(ConfigError, match="exceeds the configured limit"):
         pauli.check_qubits(13)
     with pytest.raises(ValueError):
         pauli.check_qubits(0)
@@ -150,6 +150,6 @@ def test_dimension_limit():
 
 def test_dimension_limit_configurable(monkeypatch):
     monkeypatch.setattr(pauli, "MAX_QUBITS", 2)
-    with pytest.raises(DimensionLimitError):
+    with pytest.raises(ConfigError, match="exceeds the configured limit"):
         pauli.check_qubits(3)
     assert pauli.check_qubits(2) == 2

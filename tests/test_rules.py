@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 import qtomo
-from qtomo import calibration, inversion, measurement, rankpen, states
+from qtomo import calibration, inversion, measurement, pauli, rankpen, states, studies
 from qtomo.cli import main
-from qtomo.errors import ConfigError
+from qtomo.errors import ConfigError, FormatError
 
 
 def run(*argv):
@@ -118,4 +118,112 @@ def test_spectrum_rejects_an_infinite_nu_as_estimate_does(tmp_path, capsys):
         assert run(command, data, "--theta", "1e308", "--out", out) == 2
         assert capsys.readouterr().err == (
             "configuration error: penalty nu=inf must be finite and >= 0\n")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [None, [1, 2], True, -1, 1.5], ids=repr)
+def test_a_seed_that_is_not_a_non_negative_integer_or_a_seed_sequence_raises(seed):
+    law = measurement.outcome_law(states.ghz(2))
+    for call in (lambda: measurement.simulate_dataset(states.ghz(2), 10, seed),
+                 lambda: measurement.draw_dataset(law, 10, seed)):
+        with pytest.raises(ConfigError) as info:
+            call()
+        assert str(info.value) == (
+            f"seed must be a non-negative integer or a SeedSequence, got {seed!r}")
+
+
+@pytest.mark.parametrize("seed", [7, np.int64(7), 2**70], ids=repr)
+def test_an_integer_seed_draws_the_bits_of_default_rng(seed):
+    rho = states.mixture(2, 2, 0.3)
+    law = measurement.outcome_law(rho)
+    expected = np.random.default_rng(seed).multinomial(50, law)
+    np.testing.assert_array_equal(measurement.draw_dataset(law, 50, seed).counts, expected)
+    np.testing.assert_array_equal(measurement.simulate_dataset(rho, 50, seed).counts, expected)
+
+
+def test_a_theory_penalty_that_overflows_is_rejected_as_it_is_made():
+    with pytest.raises(ConfigError) as info:
+        calibration.PenaltyChoice("theory", theta=1e308)
+    assert str(info.value) == "penalty nu=inf must be finite and >= 0"
+
+
+def test_calibrate_rejects_an_infinite_nu_and_writes_nothing(tmp_path, capsys):
+    data = tmp_path / "data.json"
+    measurement.save_dataset(data, measurement.simulate_dataset(states.ghz(3), 100, 0))
+    for out in ((), ("--out", tmp_path / "cal.json")):
+        assert run("calibrate", data, "--penalty", "theory", "--theta", "1e308", *out) == 2
+        assert capsys.readouterr() == (
+            "", "configuration error: penalty nu=inf must be finite and >= 0\n")
+    assert sorted(tmp_path.iterdir()) == [data]
+
+
+def test_estimate_rejects_an_objective_that_overflows_and_writes_nothing(tmp_path, capsys):
+    # nu = 1e308 is finite, but nu * k overflows for k >= 2; under the suite's
+    # warnings-as-errors, an overflow warning would raise instead of exiting 2
+    data = tmp_path / "data.json"
+    measurement.save_dataset(data, measurement.simulate_dataset(states.ghz(2), 50, 0))
+    assert run("estimate", data, "--penalty", "fixed:1e308", "--out", tmp_path / "fit") == 2
+    assert capsys.readouterr() == (
+        "", "configuration error: an output value is not finite, which JSON cannot hold\n")
+    assert sorted(tmp_path.iterdir()) == [data]
+
+
+@pytest.mark.parametrize("study", [
+    lambda: studies.rank_study(2, 50, [1, 9], reps=2),
+    lambda: studies.error_study(2, [1, 9], [50], reps=2),
+], ids=["rank_study", "error_study"])
+def test_a_study_rank_out_of_range_raises_before_any_draw(monkeypatch, study):
+    calls = []
+    for name in ("outcome_law", "draw_dataset"):
+        monkeypatch.setattr(measurement, name,
+                            lambda *a, f=getattr(measurement, name): calls.append(1) or f(*a))
+    with pytest.raises(ConfigError) as info:
+        study()
+    assert str(info.value) == "rank d=9 out of range [1, 4]"
+    assert calls == []
+
+
+@pytest.mark.parametrize("call, kind, expected", [
+    (lambda: measurement.EmpiricalFrequencies(2, np.zeros((9, 3))), ValueError,
+     "values shape (9, 3) does not match (9, 4)"),
+    (lambda: measurement.EmpiricalFrequencies(1, [[0.5, 0.4], [0.5, 0.5], [0.5, 0.5]]),
+     ValueError, "per-setting frequency sums deviate from 1 by 1.000e-01"),
+    (lambda: measurement.dataset_from_dict({"n": 1, "m": 1, "counts": {}}), FormatError,
+     "counts: expected a list"),
+    (lambda: pauli.check_qubits(1.5), ConfigError, "qubit count must be an integer, got 1.5"),
+    (lambda: pauli.setting_at(2, 9), ValueError, "setting index 9 out of range for n=2"),
+    (lambda: states.qubit_count(np.zeros((2, 4))), ValueError,
+     "expected a square matrix, got shape (2, 4)"),
+    (lambda: states.qubit_count(np.zeros((3, 3))), ValueError,
+     "matrix dimension 3 is not a power of two >= 2"),
+    (lambda: states.require_density(np.eye(2)), ValueError,
+     "trace 2.0 differs from 1 by more than 1.0e-10"),
+    (lambda: states.project_simplex([]), ValueError, "expected a non-empty 1-d vector"),
+    (lambda: states.state_from_dict([1]), FormatError, "expected a JSON object"),
+], ids=["frequency shape", "frequency row sum", "counts not a list", "n not an integer",
+        "setting index", "not square", "not a power of two", "trace", "empty simplex",
+        "not an object"])
+def test_each_library_input_rule_raises_its_type_and_message(call, kind, expected):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is kind
+    assert str(info.value) == expected
+
+
+def test_each_command_line_input_rule_exits_2_with_its_message(tmp_path, capsys):
+    state = tmp_path / "ghz2.json"
+    states.save_state(state, states.ghz(2))
+    cases = [
+        (("rank-study", "--n", 2, "--m", 10, "--d", "1,x"),
+         "--d: expected comma-separated integers, got '1,x'"),
+        (("rank-study", "--n", 2, "--m", 10, "--d", 1, "--penalty", ","),
+         "empty penalty mode list"),
+        (("simulate", "--n", 2, "--m", 10), "--state diag needs --d"),
+        (("simulate", "--n", 3, "--m", 10, "--state", state),
+         f"state file {str(state)!r} has n=2, expected --n 3"),
+    ]
+    for argv, message in cases:
+        out = tmp_path / "out"
+        assert run(*argv, "--out", out) == 2
+        assert capsys.readouterr() == ("", f"configuration error: {message}\n")
         assert not out.exists()
