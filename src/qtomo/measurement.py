@@ -63,12 +63,7 @@ class Dataset:
         if (self.counts < 0).any():
             raise ValueError("counts must be non-negative")
         sums = self.counts.sum(axis=-1, dtype=_sum_dtype(self.counts, 2**self.n))
-        if (sums != self.m).any():
-            bad = tuple(np.argwhere(sums != self.m)[0])
-            raise ValueError(
-                f"setting {pauli.setting_at(self.n, int(bad[-1]))!r} has "
-                f"{int(sums[bad])} counts, expected m={self.m}"
-            )
+        _check_row_sums(sums, self.m, self.n)
 
 
 @dataclass
@@ -140,12 +135,14 @@ def simulate_dataset(rho: np.ndarray, m: int, seed) -> Dataset:
 def outcome_law(rho: np.ndarray) -> np.ndarray:
     """The sampling law of a state: its ``probability_table``, rows clipped and normalized.
 
-    Probabilities within 1e-12 of [0, 1] are clipped; larger violations
-    indicate a non-physical input and raise. Callers that sample one state
-    many times (the bootstrap, the studies) build the law once and pass it
-    to ``draw_dataset`` for every draw.
+    A trace other than 1 (``states.require_unit_trace``) raises after the
+    table's own checks. Probabilities within 1e-12 of [0, 1] are clipped;
+    larger violations indicate a non-physical input and raise. Callers that
+    sample one state many times (the bootstrap, the studies) build the law
+    once and pass it to ``draw_dataset`` for every draw.
     """
     table = probability_table(rho)
+    states.require_unit_trace(rho)
     if table.min() < -_PROB_CLIP or table.max() > 1.0 + _PROB_CLIP:
         raise ValueError(
             f"outcome probabilities outside [0, 1] (min {table.min():.3e}, "
@@ -181,6 +178,14 @@ def draw_counts(law: np.ndarray, m: int, streams: list, out: np.ndarray) -> np.n
         for start in range(0, len(law), rows):
             counts[start:start + rows] = rng.multinomial(m, law[start:start + rows])
     return out
+
+
+def _check_row_sums(sums: np.ndarray, m: int, n: int) -> None:
+    """ValueError for the first sum that is not m, naming its setting (the last axis of a stack)."""
+    if (sums != m).any():
+        bad = tuple(np.argwhere(sums != m)[0])
+        setting = pauli.setting_at(n, int(bad[-1]))
+        raise ValueError(f"setting {setting!r} sums to {int(sums[bad])}, expected m={m}")
 
 
 def _sum_dtype(values: np.ndarray, terms: int):
@@ -289,12 +294,10 @@ def _count_table(cells: np.ndarray, values: np.ndarray, n: int, m: int) -> np.nd
     width = 2**n
     sums = np.zeros(min(3**n, len(cells) + 1), dtype=_sum_dtype(values, len(values)))
     np.add.at(sums, np.minimum(cells // width, len(sums) - 1), values.astype(sums.dtype, copy=False))
-    if (sums != m).any():
-        bad = int(np.nonzero(sums != m)[0][0])
-        raise FormatError(
-            "counts",
-            f"setting {pauli.setting_at(n, bad)!r} sums to {int(sums[bad])}, expected m={m}",
-        )
+    try:
+        _check_row_sums(sums, m, n)
+    except ValueError as exc:
+        raise FormatError("counts", str(exc)) from None
     counts = np.zeros(3**n * width, dtype=np.int64)
     counts[cells] = values
     return counts.reshape(3**n, width)
@@ -308,30 +311,23 @@ def _entry_cell(i: int, entry, n: int) -> tuple[int, int, int]:
     for key in ("setting", "outcome", "count"):
         if key not in entry:
             raise FormatError(f"{where}.{key}", "missing key")
-    a = entry["setting"]
-    if not isinstance(a, str):
-        raise FormatError(f"{where}.setting", "expected a string")
-    try:
-        s = pauli.setting_index(a)
-    except ValueError as exc:
-        raise FormatError(f"{where}.setting", str(exc)) from exc
-    if len(a) != n:
-        raise FormatError(f"{where}.setting", f"length {len(a)} != n={n}")
-    r = entry["outcome"]
-    if not isinstance(r, str):
-        raise FormatError(f"{where}.outcome", "expected a string")
-    try:
-        o = pauli.outcome_index(r)
-    except ValueError as exc:
-        raise FormatError(f"{where}.outcome", str(exc)) from exc
-    if len(r) != n:
-        raise FormatError(f"{where}.outcome", f"length {len(r)} != n={n}")
+    indices = []
+    for key, index in (("setting", pauli.setting_index), ("outcome", pauli.outcome_index)):
+        text = entry[key]
+        if not isinstance(text, str):
+            raise FormatError(f"{where}.{key}", "expected a string")
+        try:
+            indices.append(index(text))
+        except ValueError as exc:
+            raise FormatError(f"{where}.{key}", str(exc)) from exc
+        if len(text) != n:
+            raise FormatError(f"{where}.{key}", f"length {len(text)} != n={n}")
     c = entry["count"]
     if not isinstance(c, int) or isinstance(c, bool) or c < 0:
         raise FormatError(f"{where}.count", f"expected a non-negative integer, got {c!r}")
     if c > _COUNT_MAX:
         raise FormatError(f"{where}.count", f"{c} does not fit in a 64-bit count")
-    return s, o, c
+    return (*indices, c)
 
 
 def _check_duplicates(entries: list, cells) -> None:

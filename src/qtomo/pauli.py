@@ -48,25 +48,20 @@ def check_qubits(n: int) -> int:
     return int(n)
 
 
-def validate_label(b: str) -> str:
-    check_qubits(len(b))
-    if any(c not in LABEL_CHARS for c in b):
-        raise ValueError(f"invalid basis label {b!r}: characters must be in 'ixyz'")
-    return b
+def _index(text: str, chars: str, what: str) -> int:
+    """Position of ``text`` among the strings over ``chars`` of its length, in lexicographic order."""
+    check_qubits(len(text))
+    if any(c not in chars for c in text):
+        raise ValueError(f"invalid {what} {text!r}: characters must be in {chars!r}")
+    idx = 0
+    for c in text:
+        idx = idx * len(chars) + chars.index(c)
+    return idx
 
 
-def validate_setting(a: str) -> str:
-    check_qubits(len(a))
-    if any(c not in AXIS_CHARS for c in a):
-        raise ValueError(f"invalid setting {a!r}: characters must be in 'xyz'")
-    return a
-
-
-def validate_outcome(r: str) -> str:
-    check_qubits(len(r))
-    if any(c not in SIGN_CHARS for c in r):
-        raise ValueError(f"invalid outcome {r!r}: characters must be in '-+'")
-    return r
+def _strings(chars: str, n: int) -> Iterator[str]:
+    check_qubits(n)
+    return map("".join, itertools.product(chars, repeat=n))
 
 
 def degree(b: str) -> int:
@@ -75,42 +70,31 @@ def degree(b: str) -> int:
     Coefficients whose label has more identities are seen by more settings
     (3^degree of them) and are therefore estimated more accurately.
     """
-    validate_label(b)
+    _index(b, LABEL_CHARS, "basis label")
     return b.count("i")
 
 
 def all_labels(n: int) -> Iterator[str]:
     """All 4^n basis labels in lexicographic order (i < x < y < z)."""
-    check_qubits(n)
-    return map("".join, itertools.product(LABEL_CHARS, repeat=n))
+    return _strings(LABEL_CHARS, n)
 
 
 def all_settings(n: int) -> Iterator[str]:
     """All 3^n settings in lexicographic order (x < y < z)."""
-    check_qubits(n)
-    return map("".join, itertools.product(AXIS_CHARS, repeat=n))
+    return _strings(AXIS_CHARS, n)
 
 
 def all_outcomes(n: int) -> Iterator[str]:
     """All 2^n outcomes in lexicographic order (-1 < +1)."""
-    check_qubits(n)
-    return map("".join, itertools.product(SIGN_CHARS, repeat=n))
+    return _strings(SIGN_CHARS, n)
 
 
 def setting_index(a: str) -> int:
-    validate_setting(a)
-    idx = 0
-    for c in a:
-        idx = idx * 3 + AXIS_CHARS.index(c)
-    return idx
+    return _index(a, AXIS_CHARS, "setting")
 
 
 def outcome_index(r: str) -> int:
-    validate_outcome(r)
-    idx = 0
-    for c in r:
-        idx = idx * 2 + SIGN_CHARS.index(c)
-    return idx
+    return _index(r, SIGN_CHARS, "outcome")
 
 
 def setting_at(n: int, index: int) -> str:

@@ -143,5 +143,6 @@ def penalized_error_bound(rho: np.ndarray, nu: float, theta: float) -> float:
     check_penalty(nu)
     s = spectral(rho).singular_values
     c = 1.0 + 2.0 / theta
-    values = c**2 * _tail_sums(s) + 2.0 * c * nu * np.arange(s.size + 1)
+    with np.errstate(over="ignore"):  # 2 c nu k may overflow to inf; k = 0 adds nothing
+        values = c**2 * _tail_sums(s) + np.append(0.0, 2.0 * c * nu * np.arange(1, s.size + 1))
     return float(values.min())

@@ -78,12 +78,17 @@ def require_hermitian(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
-def require_density(matrix: np.ndarray) -> np.ndarray:
-    """Validate the density-matrix invariants: Hermitian, unit trace, PSD."""
-    matrix = require_hermitian(matrix)
-    tr = float(matrix.trace().real)  # no numpy type in the message
+def require_unit_trace(matrix: np.ndarray) -> np.ndarray:
+    """The matrix, if its trace lies within ``TRACE_ATOL`` of 1; else ValueError."""
+    tr = float(np.trace(matrix).real)  # no numpy type in the message
     if abs(tr - 1.0) > TRACE_ATOL:
         raise ValueError(f"trace {tr!r} differs from 1 by more than {TRACE_ATOL:.1e}")
+    return matrix
+
+
+def require_density(matrix: np.ndarray) -> np.ndarray:
+    """Validate the density-matrix invariants: Hermitian, unit trace, PSD."""
+    matrix = require_unit_trace(require_hermitian(matrix))
     w_min = np.linalg.eigvalsh(matrix)[0]
     if w_min < -EIG_ATOL:
         raise ValueError(f"smallest eigenvalue {w_min:.3e} below -{EIG_ATOL:.1e}")
@@ -305,31 +310,27 @@ def save_state(path, matrix: np.ndarray) -> None:
     """Write a state JSON file; a non-finite entry raises before the file is opened.
 
     Each entry on or above the diagonal is formatted with ``repr``. An entry
-    below it reuses the text of its mirror (j, i) when their bits match as in
-    a Hermitian matrix: equal in ``re``, negated in ``im`` (the text's sign
-    toggled). Any other entry is formatted itself, so every matrix is written
-    with the bytes of one ``repr`` per entry.
+    below it, in ``re`` and ``im`` alike, reuses the text of its mirror (j, i)
+    when their bits are equal, and toggles that text's sign when they are
+    negated, as in a Hermitian matrix. Any other entry is formatted itself, so
+    every matrix is written with the bytes of one ``repr`` per entry.
     """
     matrix = np.asarray(matrix, dtype=complex)
     n = qubit_count(matrix)
     _check_finite(matrix)
     heads = ('{\n  "im": [\n', f'\n  ],\n  "n": {n},\n  "re": [\n')
     with open(path, "w", encoding="utf-8") as fh:  # a row at a time: less peak memory
-        # flip is the sign bit for im, whose mirrored entries are negated
-        for head, part, flip in zip(heads, (matrix.imag, matrix.real), (np.int64(-2**63), 0)):
+        for head, part in zip(heads, (matrix.imag, matrix.real)):
             fh.write(head)
             bits = part.view(np.int64)
-            mirrored = bits == bits.T ^ flip
             texts = np.empty(part.shape, dtype=object)  # upper texts whose mirror is not written yet
             for i in range(len(part)):
                 row = part[i].tolist()
                 texts[i, i:] = list(map(repr, row[i:]))
-                pairs = zip(texts[:i, i].tolist(), mirrored[i, :i].tolist(), row)
+                diff = (bits[i, :i] ^ bits[:i, i]).tolist()  # 0: equal bits; -2^63: negated
+                low = [t if d == 0 else (t[1:] if t[0] == "-" else "-" + t) if d == -2**63
+                       else repr(x) for t, d, x in zip(texts[:i, i].tolist(), diff, row)]
                 texts[:i, i] = None
-                if flip:
-                    low = [(t[1:] if t[0] == "-" else "-" + t) if ok else repr(x) for t, ok, x in pairs]
-                else:
-                    low = [t if ok else repr(x) for t, ok, x in pairs]
                 fh.write((",\n" if i else "") + "    [\n      "
                          + ",\n      ".join(low + texts[i, i:].tolist()) + "\n    ]")
         fh.write("\n  ]\n}\n")

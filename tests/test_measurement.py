@@ -223,14 +223,14 @@ def test_empirical_frequencies_values():
 
 
 def test_dataset_validation():
-    with pytest.raises(ValueError, match="counts"):
+    with pytest.raises(ValueError, match="setting 'x' sums to 6, expected m=5"):
         measurement.Dataset(n=1, m=5, counts=np.array([[4, 2], [5, 0], [5, 0]]))
     with pytest.raises(ValueError, match="m="):
         measurement.Dataset(n=1, m=0, counts=np.zeros((3, 2), dtype=np.int64))
     # a stack of datasets is checked row by row, and names the bad setting
     good = [[5, 0], [5, 0], [5, 0]]
     assert measurement.Dataset(n=1, m=5, counts=np.array([good, good])).counts.shape == (2, 3, 2)
-    with pytest.raises(ValueError, match="setting 'y' has 6 counts"):
+    with pytest.raises(ValueError, match="setting 'y' sums to 6, expected m=5"):
         measurement.Dataset(n=1, m=5, counts=np.array([good, [[5, 0], [4, 2], [5, 0]]]))
     with pytest.raises(ValueError, match="non-negative"):
         measurement.Dataset(n=1, m=5, counts=np.array([good, [[5, 0], [6, -1], [5, 0]]]))
@@ -664,7 +664,7 @@ WRAPPING_ROWS = [
 def test_a_row_whose_int64_sum_wraps_to_m_is_rejected(tmp_path, monkeypatch, capsys, m, row):
     counts = np.zeros((9, 4), dtype=object)
     counts[0], counts[1:, 0] = row, m  # setting 'xx', then one cell of m per setting
-    with pytest.raises(ValueError, match=f"setting 'xx' has {sum(row)} counts, expected m={m}"):
+    with pytest.raises(ValueError, match=f"setting 'xx' sums to {sum(row)}, expected m={m}"):
         measurement.Dataset(n=2, m=m, counts=counts.astype(np.int64))
     outcomes, settings = list(pauli.all_outcomes(2)), list(pauli.all_settings(2))
     obj = {"counts": [{"count": int(c), "outcome": outcomes[o], "setting": settings[s]}

@@ -134,11 +134,11 @@ def test_gram_diagonal_exhaustive(n):
 
 def test_validation_rejects_bad_characters():
     with pytest.raises(ValueError):
-        pauli.validate_label("ixq")
+        pauli.degree("ixq")
     with pytest.raises(ValueError):
-        pauli.validate_setting("xi")
+        pauli.setting_index("xi")
     with pytest.raises(ValueError):
-        pauli.validate_outcome("+0")
+        pauli.outcome_index("+0")
 
 
 def test_dimension_limit():

@@ -175,6 +175,15 @@ def test_penalized_error_bound_large_theta_limit():
         rankpen.penalized_error_bound(rho, nu, float("nan"))
 
 
+def test_penalized_error_bound_of_a_large_finite_nu_is_the_rank_0_term():
+    # 2 c nu overflows to inf, and the k = 0 term, which adds no penalty, is
+    # c^2 sum s^2 = 9 sum s^2; under warnings-as-errors, inf * 0 would raise
+    rho = states.ghz(2)
+    value = rankpen.penalized_error_bound(rho, 1e308, 1.0)
+    assert value == 9.0 * rankpen._tail_sums(rankpen.spectral(rho).singular_values)[0]
+    assert abs(value - 9.0) < 1e-12
+
+
 def test_rank_recovery_dominates_error_tail():
     # with lambda_d > (1+delta) sqrt(nu) and lambda_{d+1} < (1-delta) sqrt(nu),
     # P(k_hat = d) >= 1 - P(op-norm error >= delta sqrt(nu))

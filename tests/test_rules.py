@@ -227,3 +227,49 @@ def test_each_command_line_input_rule_exits_2_with_its_message(tmp_path, capsys)
         assert run(*argv, "--out", out) == 2
         assert capsys.readouterr() == ("", f"configuration error: {message}\n")
         assert not out.exists()
+
+
+_PAULI_INDEX = [(pauli.degree, "i", "basis label", "ixyz"),
+                (pauli.setting_index, "x", "setting", "xyz"),
+                (pauli.outcome_index, "+", "outcome", "-+")]
+
+
+@pytest.mark.parametrize("index, char, what, chars", _PAULI_INDEX,
+                         ids=[f.__name__ for f, *_ in _PAULI_INDEX])
+@pytest.mark.parametrize("text, kind, expected", [
+    ("{char}q", ValueError, "invalid {what} '{char}q': characters must be in '{chars}'"),
+    ("", ConfigError, "qubit count must be >= 1, got 0"),
+    ("{char}" * (pauli.MAX_QUBITS + 1), ConfigError,
+     f"n={pauli.MAX_QUBITS + 1} exceeds the configured limit of {pauli.MAX_QUBITS} qubits"),
+], ids=["bad character", "empty", "too long"])
+def test_each_pauli_string_rule_raises_its_type_and_message(index, char, what, chars, text,
+                                                            kind, expected):
+    with pytest.raises(ValueError) as info:
+        index(text.format(char=char))
+    assert type(info.value) is kind
+    assert str(info.value) == expected.format(char=char, what=what, chars=chars)
+
+
+def test_a_bad_row_in_a_stack_of_datasets_names_its_setting():
+    counts = np.full((2, 2, 9, 4), [3, 0, 0, 0])
+    counts[1, 0, 5] = [1, 1, 0, 0]  # setting 5 of n = 2 is 'yz'
+    with pytest.raises(ValueError) as info:
+        measurement.Dataset(n=2, m=3, counts=counts)
+    assert type(info.value) is ValueError
+    assert str(info.value) == "setting 'yz' sums to 2, expected m=3"
+
+
+@pytest.mark.parametrize("rho, trace", [
+    (2 * states.ghz(2), "1.9999999999999996"),
+    (0.3 * states.diag_state(2, 1), "0.3"),
+], ids=["2 ghz", "0.3 diag"])
+def test_a_state_whose_trace_is_not_1_is_not_sampled(rho, trace):
+    expected = f"trace {trace} differs from 1 by more than 1.0e-10"
+    assert _message(lambda: states.require_density(rho)) == expected
+    assert _message(lambda: measurement.outcome_law(rho)) == expected
+    assert _message(lambda: measurement.simulate_dataset(rho, 10, 0)) == expected
+
+
+def test_a_trace_within_the_tolerance_is_sampled():
+    rho = (1 + 0.5 * states.TRACE_ATOL) * states.ghz(2)
+    np.testing.assert_array_equal(measurement.simulate_dataset(rho, 10, 0).counts.sum(axis=1), 10)
