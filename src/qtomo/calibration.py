@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from . import inversion, measurement, pauli, rankpen, states
-from .errors import ConfigError
+from .errors import ConfigError, integer
 
 PENALTY_MODES = ("oracle", "theory", "bootstrap", "fixed")
 PENALTY_GRAMMAR = "oracle | theory | bootstrap | fixed:VALUE | VALUE, VALUE finite and >= 0"
@@ -184,7 +184,7 @@ def bootstrap_norms(
 
 
 def _check_reps(reps: int) -> None:
-    if reps < 2:
+    if integer(reps, "bootstrap reps") < 2:
         raise ConfigError(f"bootstrap needs reps >= 2, got {reps}")
 
 

@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types and the one integer rule."""
+
+import numpy as np
 
 
 class FormatError(ValueError):
@@ -15,3 +17,10 @@ class FormatError(ValueError):
 
 class ConfigError(ValueError):
     """Invalid run configuration (bad ranges, unknown names, missing flags)."""
+
+
+def integer(value, what: str) -> int:
+    """``value`` as an int if it is an int or numpy integer, not a bool; else ConfigError."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(value)

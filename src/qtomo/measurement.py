@@ -29,10 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels, pauli, states
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, integer
 
 FREQ_ATOL = 1e-12
-_PROB_CLIP = 1e-12
 _COUNT_MAX = np.iinfo(np.int64).max
 # The most table cells that one multinomial call of ``draw_counts`` draws, so
 # the temporary it returns stays small whichever thread allocates it.
@@ -52,14 +51,9 @@ class Dataset:
     counts: np.ndarray  # (3^n, 2^n) int64
 
     def __post_init__(self):
-        pauli.check_qubits(self.n)
-        check_repetitions(self.m)
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        expected = (3**self.n, 2**self.n)
-        if self.counts.shape[-2:] != expected:
-            raise ValueError(
-                f"counts shape {self.counts.shape} does not match {expected}"
-            )
+        self.n = pauli.check_qubits(self.n)
+        self.m = check_repetitions(self.m)
+        self.counts = _table(self.counts, np.int64, self.n, "counts")
         if (self.counts < 0).any():
             raise ValueError("counts must be non-negative")
         sums = self.counts.sum(axis=-1, dtype=_sum_dtype(self.counts, 2**self.n))
@@ -77,13 +71,8 @@ class EmpiricalFrequencies:
     values: np.ndarray  # (3^n, 2^n) float64
 
     def __post_init__(self):
-        pauli.check_qubits(self.n)
-        self.values = np.asarray(self.values, dtype=np.float64)
-        expected = (3**self.n, 2**self.n)
-        if self.values.shape[-2:] != expected:
-            raise ValueError(
-                f"values shape {self.values.shape} does not match {expected}"
-            )
+        self.n = pauli.check_qubits(self.n)
+        self.values = _table(self.values, np.float64, self.n, "values")
         # min and max are NaN when an entry is, which fails the comparison
         if not (self.values.min() >= -FREQ_ATOL and self.values.max() <= 1 + FREQ_ATOL):
             raise ValueError("frequencies must lie in [0, 1]")
@@ -92,6 +81,14 @@ class EmpiricalFrequencies:
             raise ValueError(
                 f"per-setting frequency sums deviate from 1 by {dev:.3e}"
             )
+
+
+def _table(values, dtype, n: int, what: str) -> np.ndarray:
+    """``values`` as a ``dtype`` array of shape (..., 3^n, 2^n); else ValueError naming ``what``."""
+    values = np.asarray(values, dtype=dtype)
+    if values.shape[-2:] != (3**n, 2**n):
+        raise ValueError(f"{what} shape {values.shape} does not match {(3**n, 2**n)}")
+    return values
 
 
 def probability_table(rho: np.ndarray) -> np.ndarray:
@@ -136,14 +133,14 @@ def outcome_law(rho: np.ndarray) -> np.ndarray:
     """The sampling law of a state: its ``probability_table``, rows clipped and normalized.
 
     A trace other than 1 (``states.require_unit_trace``) raises after the
-    table's own checks. Probabilities within 1e-12 of [0, 1] are clipped;
+    table's own checks. Probabilities within ``FREQ_ATOL`` of [0, 1] are clipped;
     larger violations indicate a non-physical input and raise. Callers that
     sample one state many times (the bootstrap, the studies) build the law
     once and pass it to ``draw_dataset`` for every draw.
     """
     table = probability_table(rho)
     states.require_unit_trace(rho)
-    if table.min() < -_PROB_CLIP or table.max() > 1.0 + _PROB_CLIP:
+    if table.min() < -FREQ_ATOL or table.max() > 1.0 + FREQ_ATOL:
         raise ValueError(
             f"outcome probabilities outside [0, 1] (min {table.min():.3e}, "
             f"max {table.max():.3e}); input is not a density matrix"
@@ -193,12 +190,14 @@ def _sum_dtype(values: np.ndarray, terms: int):
     return np.int64 if values.max(initial=0) <= _COUNT_MAX // max(terms, 1) else object
 
 
-def check_repetitions(m: int) -> None:
-    """Raise ConfigError unless 1 <= m <= 2^63 - 1, the most a 64-bit count holds."""
+def check_repetitions(m: int) -> int:
+    """m as an int if it is an integer in [1, 2^63 - 1], the most a 64-bit count holds; else ConfigError."""
+    m = integer(m, "repetition count m")
     if m < 1:
         raise ConfigError(f"repetition count m={m} must be >= 1")
     if m > _COUNT_MAX:
         raise ConfigError(f"repetition count m={m} must be <= 2^63 - 1")
+    return m
 
 
 def empirical_frequencies(dataset: Dataset) -> EmpiricalFrequencies:
@@ -243,11 +242,10 @@ _TAIL = re.compile(
 
 def dataset_from_dict(obj) -> Dataset:
     n = states.require_header(obj, ("n", "m", "counts"))
-    m = obj["m"]
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise FormatError("m", f"expected a positive integer, got {m!r}")
-    if m > _COUNT_MAX:
-        raise FormatError("m", f"{m} does not fit in a 64-bit count")
+    try:
+        m = check_repetitions(obj["m"])
+    except ValueError as exc:
+        raise FormatError("m", str(exc)) from exc
     entries = obj["counts"]
     if not isinstance(entries, list):
         raise FormatError("counts", "expected a list")

@@ -24,9 +24,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator
 
-import numpy as np
-
-from .errors import ConfigError
+from .errors import ConfigError, integer
 
 # 2^12 = 4096 keeps dense 2^n x 2^n matrices tractable; override at your own
 # risk for larger systems.
@@ -38,14 +36,13 @@ SIGN_CHARS = "-+"
 
 
 def check_qubits(n: int) -> int:
-    """Validate a qubit count against the configured dimension limit; raises ConfigError."""
-    if not isinstance(n, (int, np.integer)):
-        raise ConfigError(f"qubit count must be an integer, got {n!r}")
+    """The qubit count as an int, if it is an integer within the configured limit; else ConfigError."""
+    n = integer(n, "qubit count")
     if n < 1:
         raise ConfigError(f"qubit count must be >= 1, got {n}")
     if n > MAX_QUBITS:
         raise ConfigError(f"n={n} exceeds the configured limit of {MAX_QUBITS} qubits")
-    return int(n)
+    return n
 
 
 def _index(text: str, chars: str, what: str) -> int:

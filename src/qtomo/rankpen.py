@@ -51,7 +51,7 @@ class RankPenalizedFit:
     ``objective[k]`` is the penalized residual at rank k for k = 0 .. dim;
     ``estimate`` is the best rank-k_hat approximation of the input and
     ``physical_estimate`` the nearest density matrix to the input of rank at
-    most ``physical_rank`` = max(k_hat, 1); when the retained eigenvalues are
+    most max(k_hat, 1); when the retained eigenvalues are
     positive, that is also the projection of ``estimate`` onto states.
     """
 
@@ -60,7 +60,6 @@ class RankPenalizedFit:
     estimate: np.ndarray
     physical_estimate: np.ndarray
     objective: np.ndarray
-    physical_rank: int
 
 
 def _tail_sums(s: np.ndarray) -> np.ndarray:
@@ -119,14 +118,12 @@ def penalized_fit(dec: SpectralDecomposition, nu: float) -> RankPenalizedFit:
     k_hat = select_rank_threshold(dec, nu)
     with np.errstate(over="ignore"):  # nu * k may overflow to inf
         objective = _tail_sums(dec.singular_values) + nu * np.arange(dec.singular_values.size + 1)
-    physical_rank = max(k_hat, 1)
     return RankPenalizedFit(
         nu=float(nu),
         k_hat=k_hat,
         estimate=truncate(dec, k_hat),
-        physical_estimate=states.nearest_density(dec.eigenvalues, dec.vectors, physical_rank),
+        physical_estimate=states.nearest_density(dec.eigenvalues, dec.vectors, max(k_hat, 1)),
         objective=objective,
-        physical_rank=physical_rank,
     )
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import pauli
 from ._kernels import _interleave_perm, _per_qubit
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, integer
 
 HERMITIAN_ATOL = 1e-12
 TRACE_ATOL = 1e-10
@@ -164,7 +164,7 @@ def diag_state(n: int, d: int) -> np.ndarray:
     """Rank-d diagonal state: first d diagonal entries 1/d, rest zero; 1 <= d <= 2^n."""
     pauli.check_qubits(n)
     dim = 2**n
-    if not 1 <= d <= dim:
+    if not 1 <= integer(d, "rank d") <= dim:
         raise ConfigError(f"rank d={d} out of range [1, {dim}]")
     w = np.zeros(dim)
     w[:d] = 1.0 / d
@@ -268,11 +268,8 @@ def require_header(obj, keys: tuple) -> int:
     for key in keys:
         if key not in obj:
             raise FormatError(key, "missing key")
-    n = obj["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise FormatError("n", f"expected a positive integer, got {n!r}")
     try:
-        return pauli.check_qubits(n)
+        return pauli.check_qubits(obj["n"])
     except ValueError as exc:
         raise FormatError("n", str(exc)) from exc
 

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import calibration, measurement, rankpen, states
-from .errors import ConfigError
+from .errors import ConfigError, integer
 
 
 @dataclass
@@ -51,7 +51,7 @@ def _sweep(
     """
     if not d_values or not m_values:
         raise ConfigError("empty sweep")
-    if reps < 1:
+    if integer(reps, "reps") < 1:
         raise ConfigError(f"reps={reps} must be >= 1")
     rhos = [states.diag_state(n, d) for d in d_values]  # 2^n x 2^n each, no 6^n table yet
     for m in m_values:

@@ -68,7 +68,7 @@ def test_a_dataset_file_with_m_beyond_a_64_bit_count_exit_4(tmp_path, monkeypatc
         code = run("estimate", tmp_path / f"{name}.json", "--penalty", "bootstrap",
                    "--out", tmp_path / name)
         assert code == 4
-        assert capsys.readouterr().err == f"data error: m: {m} does not fit in a 64-bit count\n"
+        assert capsys.readouterr().err == f"data error: m: repetition count m={m} must be <= 2^63 - 1\n"
     assert reads == [1, 1]
 
 

@@ -183,6 +183,26 @@ def test_a_study_rank_out_of_range_raises_before_any_draw(monkeypatch, study):
     assert calls == []
 
 
+@pytest.mark.parametrize("study, expected", [
+    (lambda: studies.rank_study(2, 50, [1], modes=["bootstrap"], reps=2, bootstrap_reps=2.5),
+     "bootstrap reps must be an integer, got 2.5"),
+    (lambda: studies.error_study(2, [1], [50], reps=2.5), "reps must be an integer, got 2.5"),
+    (lambda: studies.error_study(2, [1], [50.0], reps=2),
+     "repetition count m must be an integer, got 50.0"),
+    (lambda: studies.rank_study(2, 50, [1.0], reps=2), "rank d must be an integer, got 1.0"),
+], ids=["bootstrap reps", "reps", "m", "d"])
+def test_a_study_value_that_is_not_an_integer_raises_before_any_draw(monkeypatch, study,
+                                                                     expected):
+    calls = []
+    for name in ("outcome_law", "draw_dataset"):
+        monkeypatch.setattr(measurement, name,
+                            lambda *a, f=getattr(measurement, name): calls.append(1) or f(*a))
+    with pytest.raises(ConfigError) as info:
+        study()
+    assert str(info.value) == expected
+    assert calls == []
+
+
 @pytest.mark.parametrize("call, kind, expected", [
     (lambda: measurement.EmpiricalFrequencies(2, np.zeros((9, 3))), ValueError,
      "values shape (9, 3) does not match (9, 4)"),
@@ -191,6 +211,15 @@ def test_a_study_rank_out_of_range_raises_before_any_draw(monkeypatch, study):
     (lambda: measurement.dataset_from_dict({"n": 1, "m": 1, "counts": {}}), FormatError,
      "counts: expected a list"),
     (lambda: pauli.check_qubits(1.5), ConfigError, "qubit count must be an integer, got 1.5"),
+    (lambda: pauli.check_qubits(True), ConfigError, "qubit count must be an integer, got True"),
+    (lambda: measurement.Dataset(True, 2, np.full((3, 2), 1)), ConfigError,
+     "qubit count must be an integer, got True"),
+    (lambda: measurement.EmpiricalFrequencies(True, np.full((3, 2), 0.5)), ConfigError,
+     "qubit count must be an integer, got True"),
+    (lambda: states.diag_state(2, 1.5), ConfigError, "rank d must be an integer, got 1.5"),
+    (lambda: states.diag_state(2, True), ConfigError, "rank d must be an integer, got True"),
+    (lambda: calibration.PenaltyChoice("bootstrap", reps=2.5), ConfigError,
+     "bootstrap reps must be an integer, got 2.5"),
     (lambda: pauli.setting_at(2, 9), ValueError, "setting index 9 out of range for n=2"),
     (lambda: states.qubit_count(np.zeros((2, 4))), ValueError,
      "expected a square matrix, got shape (2, 4)"),
@@ -201,6 +230,8 @@ def test_a_study_rank_out_of_range_raises_before_any_draw(monkeypatch, study):
     (lambda: states.project_simplex([]), ValueError, "expected a non-empty 1-d vector"),
     (lambda: states.state_from_dict([1]), FormatError, "expected a JSON object"),
 ], ids=["frequency shape", "frequency row sum", "counts not a list", "n not an integer",
+        "n a bool", "dataset n a bool", "frequencies n a bool", "d not an integer", "d a bool",
+        "bootstrap reps not an integer",
         "setting index", "not square", "not a power of two", "trace", "empty simplex",
         "not an object"])
 def test_each_library_input_rule_raises_its_type_and_message(call, kind, expected):
@@ -273,3 +304,56 @@ def test_a_state_whose_trace_is_not_1_is_not_sampled(rho, trace):
 def test_a_trace_within_the_tolerance_is_sampled():
     rho = (1 + 0.5 * states.TRACE_ATOL) * states.ghz(2)
     np.testing.assert_array_equal(measurement.simulate_dataset(rho, 10, 0).counts.sum(axis=1), 10)
+
+
+@pytest.mark.parametrize("m", [2.0, np.float64(5.0), 1e3, True, "5"], ids=repr)
+def test_a_repetition_count_that_is_not_an_integer_raises_at_construction(m):
+    rho = states.ghz(2)
+    law = measurement.outcome_law(rho)
+    for call in (lambda: measurement.Dataset(2, m, np.zeros((9, 4))),
+                 lambda: measurement.draw_dataset(law, m, 0),
+                 lambda: measurement.simulate_dataset(rho, m, 0)):
+        with pytest.raises(ConfigError) as info:
+            call()
+        assert str(info.value) == f"repetition count m must be an integer, got {m!r}"
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.int32])
+def test_numpy_integers_are_stored_as_int_and_round_trip(tmp_path, kind):
+    law = measurement.outcome_law(states.mixture(2, 2, 0.3))
+    drawn = measurement.draw_dataset(law, kind(7), 0)
+    dataset = measurement.Dataset(kind(2), kind(7), drawn.counts)
+    freqs = measurement.EmpiricalFrequencies(kind(2), drawn.counts / 7)
+    for n, m in ((drawn.n, drawn.m), (dataset.n, dataset.m), (freqs.n, 7)):
+        assert (type(n), type(m), n, m) == (int, int, 2, 7)
+    measurement.save_dataset(tmp_path / "data.json", dataset)
+    loaded = measurement.load_dataset(tmp_path / "data.json")
+    assert (loaded.n, loaded.m) == (2, 7)
+    np.testing.assert_array_equal(loaded.counts, dataset.counts)
+
+
+_FILE_ERRORS = [
+    ("m", 0, "repetition count m=0 must be >= 1"),
+    ("m", 2.0, "repetition count m must be an integer, got 2.0"),
+    ("m", True, "repetition count m must be an integer, got True"),
+    ("m", "2", "repetition count m must be an integer, got '2'"),
+    ("m", 2**63, "repetition count m=9223372036854775808 must be <= 2^63 - 1"),
+    ("n", 0, "qubit count must be >= 1, got 0"),
+    ("n", 1.0, "qubit count must be an integer, got 1.0"),
+    ("n", True, "qubit count must be an integer, got True"),
+    ("n", "1", "qubit count must be an integer, got '1'"),
+    ("n", 13, "n=13 exceeds the configured limit of 12 qubits"),
+]
+
+
+@pytest.mark.parametrize("key, value, expected", _FILE_ERRORS,
+                         ids=[f"{key}={value!r}" for key, value, _ in _FILE_ERRORS])
+def test_a_bad_n_or_m_in_a_dataset_file_carries_the_in_memory_message(tmp_path, key, value,
+                                                                       expected):
+    entries = [{"count": 2, "outcome": r, "setting": a} for a in "xyz" for r in "-+"]
+    obj = {"counts": entries, "m": 4, "n": 1, key: value}
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")  # the writer's layout
+    with pytest.raises(FormatError) as info:
+        measurement.load_dataset(path)
+    assert (info.value.path, str(info.value)) == (key, f"{key}: {expected}")
