@@ -72,11 +72,13 @@ class PenaltyChoice:
             if self.value is None:
                 raise ConfigError("fixed penalty needs a value")
             self.value = rankpen.check_penalty(self.value) + 0.0  # -0.0 is written as 0.0
-        # the evaluators' own checks, made before any work
+        # the evaluators' own checks, made before any work; the values are
+        # stored as Python numbers, which the report's JSON writes
         if self.mode == "theory":
             nu_theory(1, 1, self.theta, self.eps)
+            self.theta, self.eps = float(self.theta), float(self.eps)
         if self.mode == "bootstrap":
-            _check_reps(self.reps)
+            self.reps = _check_reps(self.reps)
 
     @classmethod
     def parse(cls, text: str, *, theta: float, eps: float, reps: int) -> PenaltyChoice:
@@ -183,9 +185,12 @@ def bootstrap_norms(
     return np.concatenate(results)
 
 
-def _check_reps(reps: int) -> None:
-    if integer(reps, "bootstrap reps") < 2:
+def _check_reps(reps: int) -> int:
+    """reps as an int if it is an integer >= 2; else ConfigError."""
+    reps = integer(reps, "bootstrap reps")
+    if reps < 2:
         raise ConfigError(f"bootstrap needs reps >= 2, got {reps}")
+    return reps
 
 
 def _worker_count() -> int:

@@ -33,6 +33,7 @@ from .errors import ConfigError, FormatError, integer
 
 FREQ_ATOL = 1e-12
 _COUNT_MAX = np.iinfo(np.int64).max
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)  # a count below 10^k has k digits or fewer
 # The most table cells that one multinomial call of ``draw_counts`` draws, so
 # the temporary it returns stays small whichever thread allocates it.
 DRAW_CHUNK_CELLS = 2**16
@@ -215,10 +216,10 @@ def empirical_frequencies(dataset: Dataset) -> EmpiricalFrequencies:
 # setting's counts must sum to m. save_dataset lists the nonzero cells in
 # (setting, outcome) order and writes the bytes that json.dump(obj, fh,
 # indent=2, sort_keys=True) plus a newline would write for that object,
-# joined from the fragments below. load_dataset reads a file in exactly that
-# layout from its bytes (_dataset_from_bytes) and any other JSON layout and
-# entry order through json and dataset_from_dict; both give the same dataset,
-# or the same error, for every file.
+# rendered from the fragments below a chunk of settings at a time. load_dataset
+# reads a file in exactly that layout from its bytes (_dataset_from_bytes) and
+# any other JSON layout and entry order through json and dataset_from_dict;
+# both give the same dataset, or the same error, for every file.
 # ---------------------------------------------------------------------------
 
 # The file is _HEAD, the entries joined by _SEP, then _M, m, _N, n, _END; an
@@ -342,21 +343,32 @@ def _check_duplicates(entries: list, cells) -> None:
 
 
 def save_dataset(path, dataset: Dataset) -> None:
-    # Entry text is head[count] + mid[outcome] + tail[setting], with the
-    # separator in tail: three small tables, one gather and one join.
-    n = dataset.n
-    settings, outcomes = np.nonzero(dataset.counts)
-    values, which = np.unique(dataset.counts[settings, outcomes], return_inverse=True)
-    parts = np.empty((settings.size, 3), dtype=object)
-    parts[:, 0] = np.fromiter((f"{_COUNT}{c}{_OUTCOME}" for c in values.tolist()), object)[which]
-    parts[:, 1] = np.fromiter((f"{r}{_SETTING}" for r in pauli.all_outcomes(n)), object)[outcomes]
-    parts[:, 2] = np.fromiter((f"{a}{_CLOSE}{_SEP}" for a in pauli.all_settings(n)),
-                              object)[settings]
-    parts[-1, 2] = parts[-1, 2][:-len(_SEP)]  # no separator after the last entry
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_HEAD)
-        fh.write("".join(parts.ravel().tolist()))
-        fh.write(f"{_M}{dataset.m}{_N}{n}{_END}")
+    # Each chunk of settings is rendered into one byte buffer and written before
+    # the next: entry i's digits end at q[i], then ``rest`` runs to entry i + 1's.
+    n, (settings, width) = dataset.n, dataset.counts.shape  # a stack raises ValueError here
+    outcome_chars, setting_chars = (np.frombuffer("".join(strings).encode(), f"V{n}")
+                                    for strings in (pauli.all_outcomes(n), pauli.all_settings(n)))
+    rest = f"{_OUTCOME}{'-' * n}{_SETTING}{'x' * n}{_CLOSE}{_SEP}{_COUNT}".encode()
+    rows = max(1, DRAW_CHUNK_CELLS // width)
+    with open(path, "wb") as fh:
+        fh.write((_HEAD + _COUNT).encode())
+        for start in range(0, settings, rows):
+            block = dataset.counts[start:start + rows]
+            cells = np.flatnonzero(block != 0)
+            values = block.ravel()[cells]
+            digits = 1 + np.searchsorted(_POWERS_OF_TEN, values, side="right")
+            q = np.cumsum(digits + len(rest)) - len(rest)
+            buf = np.empty(q[-1] + len(rest), np.uint8)
+            _windows(buf, len(rest))[q] = rest
+            _windows(buf, n)[q + len(_OUTCOME)] = outcome_chars[cells % width]
+            _windows(buf, n)[q + len(_OUTCOME) + n + len(_SETTING)] = setting_chars[start + cells // width]
+            while q.size:  # one digit column, right to left, of the counts that have one
+                q -= 1
+                buf[q] = ord("0") + values % 10
+                q, values = q[values >= 10], values[values >= 10] // 10
+            fh.write(buf if start + rows < settings else buf[:-len(_SEP + _COUNT)])
+            del buf  # freed before the next chunk's is allocated
+        fh.write(f"{_M}{dataset.m}{_N}{n}{_END}".encode())
 
 
 def load_dataset(path) -> Dataset:
@@ -419,10 +431,14 @@ def _dataset_from_bytes(data: bytes) -> Dataset | None:
     return Dataset(n=n, m=m, counts=_count_table(cells, values.astype(np.int64), n, m))
 
 
+def _windows(buf: np.ndarray, width: int) -> np.ndarray:
+    """The view of ``buf`` whose item i is its ``width`` bytes from i, read and written in place."""
+    return np.ndarray(buf.size - width + 1, f"V{width}", buf, strides=(1,))
+
+
 def _rows(buf: np.ndarray, at: np.ndarray, width: int) -> np.ndarray:
     """A new (len(at), width) array whose row i holds buf[at[i]:at[i] + width]."""
-    windows = np.ndarray((buf.size - width + 1, width), np.uint8, buf, strides=(1, 1))
-    return windows[at]
+    return _windows(buf, width)[at].view(np.uint8).reshape(len(at), width)
 
 
 def _holds(rows: np.ndarray, text: str) -> bool:

@@ -1,3 +1,4 @@
+import json
 import math
 import threading
 import weakref
@@ -237,6 +238,18 @@ def test_penalty_choice_checks_its_mode_parameters(mode, field, value):
     other = "bootstrap" if mode == "theory" else "theory"
     for ignoring in ("oracle", "fixed", other):
         calibration.PenaltyChoice(mode=ignoring, value=0.1, **{field: value})
+
+
+def test_penalty_choice_details_are_json_for_numpy_parameters():
+    # numpy numbers pass the parameter rules; the choice keeps Python ones,
+    # so the details a report writes are JSON
+    ds = measurement.simulate_dataset(states.diag_state(2, 2), 50, 29)
+    choices = [calibration.PenaltyChoice("bootstrap", reps=np.int64(4)),
+               calibration.PenaltyChoice("theory", theta=np.float32(0.5), eps=np.float64(0.2))]
+    assert [type(choices[0].reps), type(choices[1].theta), type(choices[1].eps)] == [int, float, float]
+    details = [d for _, d in calibration.calibrate(ds, choices, 0)[1]]
+    assert json.loads(json.dumps(details)) == details
+    assert (details[0]["reps"], details[1]["theta"], details[1]["eps"]) == (4, 0.5, 0.2)
 
 
 def test_resolve_penalty_modes():

@@ -340,11 +340,63 @@ def test_saved_bytes_with_a_large_m_need_no_table_over_counts(tmp_path):
     assert peak < 2 * 2**20
 
 
-def test_save_dataset_peak_stays_below_three_times_the_file(tmp_path):
-    ds = measurement.simulate_dataset(states.ghz(6), 100, 5)
-    path = tmp_path / "data.json"
+def _expected_bytes(dataset) -> bytes:
+    return (json.dumps(dataset_to_dict(dataset), indent=2, sort_keys=True) + "\n").encode()
+
+
+def test_saved_bytes_match_indented_json_dump_across_chunks(tmp_path):
+    # 3^7 settings in chunks of 2^16 / 2^7 = 512: four full chunks and a partial one
+    n, path = 7, tmp_path / "data.json"
+    assert -(-3**n // (measurement.DRAW_CHUNK_CELLS // 2**n)) == 5
+    ds = measurement.simulate_dataset(states.mixture(n, 2, 0.5), 100, 3)
+    measurement.save_dataset(path, ds)
+    assert path.read_bytes() == _expected_bytes(ds)
+
+
+def test_saved_bytes_cross_every_count_width(tmp_path):
+    # 1 and each pair 10^k - 1, 10^k, three to a setting; each setting's last
+    # cell tops it up to m = 2^63 - 1, which a setting of zeros holds alone
+    m, path, written = 2**63 - 1, tmp_path / "data.json", set()
+    widths = [1, *(c for k in range(1, 19) for c in (10**k - 1, 10**k))]
+    for part in (widths[:27], widths[27:]):
+        free = np.zeros(27, dtype=np.int64)
+        free[:len(part)] = part
+        counts = np.column_stack([free.reshape(9, 3), m - free.reshape(9, 3).sum(axis=1)])
+        ds = measurement.Dataset(n=2, m=m, counts=counts)
+        measurement.save_dataset(path, ds)
+        assert path.read_bytes() == _expected_bytes(ds)
+        assert np.array_equal(measurement.load_dataset(path).counts, counts)
+        written.update(counts[counts > 0].tolist())
+    assert {*widths, m} <= written
+    assert {len(str(c)) for c in written} == set(range(1, 20))
+
+
+def test_a_stack_of_datasets_is_not_saved(tmp_path):
+    ds = measurement.simulate_dataset(states.ghz(2), 10, 1)
+    stack = measurement.Dataset(n=2, m=10, counts=np.stack([ds.counts, ds.counts]))
+    with pytest.raises(ValueError):
+        measurement.save_dataset(tmp_path / "data.json", stack)
+    assert not (tmp_path / "data.json").exists()
+
+
+def test_save_dataset_peak_stays_within_one_chunk(tmp_path):
+    # Every cell of an n = 7 table holds an 18-digit count: the file takes
+    # 28 MB. The writer holds one chunk of at most DRAW_CHUNK_CELLS entries,
+    # each at most its bytes, its outcome and setting characters and eight
+    # 8-byte indices, and the two character tables, as a str and as bytes.
+    n, path = 7, tmp_path / "data.json"
+    ds = measurement.simulate_dataset(random_density(2**n, np.random.default_rng(73)), 10**17, 5)
+    entry = len(measurement._COUNT + measurement._OUTCOME + measurement._SETTING
+                + measurement._CLOSE + measurement._SEP) + 19 + 2 * n
+    bound = measurement.DRAW_CHUNK_CELLS * (entry + 2 * n + 8 * 8) + 2 * (3**n + 2**n) * n
     peak = _write_peak(path, ds)
-    assert peak < 3 * path.stat().st_size
+    assert bound < path.stat().st_size / 2
+    assert peak < bound
+
+
+def test_save_dataset_peak_at_eight_qubits_stays_below_5_mb(tmp_path):
+    ds = measurement.simulate_dataset(states.ghz(8), 100, 5)
+    assert _write_peak(tmp_path / "data.json", ds) <= 5 * 2**20
 
 
 def test_load_accepts_any_layout_and_entry_order(tmp_path):
@@ -615,6 +667,17 @@ def test_every_saved_dataset_loads_from_its_bytes(tmp_path, monkeypatch, n):
             back = measurement.load_dataset(path)
             assert (back.n, back.m) == (n, m), name
             assert np.array_equal(back.counts, ds.counts), name
+
+
+def test_a_multi_chunk_dataset_loads_from_its_bytes(tmp_path, monkeypatch):
+    monkeypatch.setattr(states, "read_json", lambda path: pytest.fail("read through json"))
+    path = tmp_path / "data.json"
+    for seed, rho in enumerate([states.ghz(7), states.diag_state(7, 3)]):
+        ds = measurement.simulate_dataset(rho, 100, seed)
+        measurement.save_dataset(path, ds)
+        back = measurement.load_dataset(path)
+        assert (back.n, back.m) == (7, 100)
+        assert np.array_equal(back.counts, ds.counts)
 
 
 def test_a_short_list_in_the_writers_layout_fails_with_the_short_list_message(tmp_path):

@@ -14,9 +14,10 @@ each file it wrote or changed. ``--compare`` prints only the lines that
 differ, each as a ``-`` line for A and a ``+`` line for B, and the count of
 equal lines to stderr; it exits 1 when any line differs.
 
-The list covers all six commands, the built-in states at n = 3..5, every
-penalty token, the bootstrap at n = 5 (two batches, drawn on worker threads),
-both studies, and the exit-2, exit-3 and exit-4 paths of every command (the
+The list covers all six commands, the built-in states at n = 3..5, two
+n = 7 datasets, which the writer renders in several chunks, every penalty
+token, the bootstrap at n = 5 (two batches, drawn on worker threads), both
+studies, and the exit-2, exit-3 and exit-4 paths of every command (the
 studies read no file, so they have no exit-4 path). The input files, valid
 and defective, are built here, deterministically, before the first
 invocation.
@@ -137,6 +138,9 @@ _SUCCESS = [
       for name, state in (("diag", "diag --d 2"), ("ghz", "ghz"), ("w", "w"),
                           ("mixture", "mixture --d 2 --p 0.3"))),
     "simulate --n 3 --m 200 --state state-diag3.json --seed 7 --out file3.json",
+    # n = 7: the dataset writer renders 3^7 settings in five chunks
+    "simulate --n 7 --m 100 --state ghz --seed 7 --out ghz7.json",
+    "simulate --n 7 --m 100 --state diag --d 3 --seed 7 --out diag7.json",
     *(f"estimate {name}{n}.json --out fit-{name}{n}/"
       for n in (3, 4, 5) for name in ("diag", "ghz", "w", "mixture")),
     "estimate mixture4.json --penalty oracle --state fit-mixture4/physical_state.json"
