@@ -12,8 +12,10 @@ spectrum), besides a fixed value:
   on real data.
 
 Bootstrap repetition j draws from ``measurement.stream(seed, j)``, so the
-repetitions can be drawn in any order and on any thread; see the
-determinism contract there.
+repetitions can be drawn in any order and in any process; ``bootstrap_norms``
+shares its batches out among forked worker processes (``_shares``) and gives
+the same norms at any process count. See the determinism contract in
+``measurement``.
 
 ``PenaltyChoice.parse`` reads the one penalty grammar that the command line
 and the studies share, and ``resolve_penalty`` is the one evaluator. The
@@ -25,14 +27,12 @@ there is one, and decomposes the estimate, each once.
 from __future__ import annotations
 
 import math
-import os
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from . import inversion, measurement, pauli, rankpen, states
+from . import _shares, inversion, measurement, pauli, rankpen, states
 from .errors import ConfigError, integer
 
 PENALTY_MODES = ("oracle", "theory", "bootstrap", "fixed")
@@ -44,13 +44,9 @@ PENALTY_GRAMMAR = "oracle | theory | bootstrap | fixed:VALUE | VALUE, VALUE fini
 # largest power of two below 6^6 = 46,656: a batch holds 25 repetitions at
 # n = 4 (so the default 20 make one batch) and 4 at n = 5, and from n = 6 on
 # one, so a large run inverts one repetition at a time, as it did unbatched.
-# Batches are also the unit that worker threads draw ahead while the calling
-# thread inverts; a bootstrap of one batch draws it inline, with no threads.
+# Batches are also the unit that the processes of a bootstrap share out; a
+# bootstrap of one batch runs in the calling process.
 BATCH_CELLS = 2**15
-# The most count cells (8 MB of int64) that the batches drawn ahead of the
-# inversion hold together, whatever the CPU count, but always one batch: up
-# to 22 batches at n = 6, 3 repetitions at n = 7 and one from n = 8 on.
-AHEAD_CELLS = 2**20
 
 
 @dataclass
@@ -131,58 +127,33 @@ def bootstrap_norms(
     operator norm of (synthetic estimate - physical state). The repetitions
     are drawn one stream each and inverted in stacked batches of at most
     ``BATCH_CELLS`` table cells; each norm has the bits of its repetition
-    inverted alone. With more than one batch, worker threads, one per CPU in
-    the affinity mask but no more than ``AHEAD_CELLS`` allow, draw that many
-    later batches while this thread inverts the batches in order; the norms
-    do not depend on the worker count. This thread allocates every count
-    buffer (a worker only fills one through ``measurement.draw_counts``) and
-    frees each before it allocates the next, so at most one buffer per worker
-    is live; it also runs every traced step. A draw's error reaches the
-    caller, and the draws not yet started are cancelled.
+    inverted alone. The batches are split into contiguous shares, one per
+    process of ``_shares.run_shares``: a process per CPU in the affinity
+    mask, up to its memory cap, each drawing and inverting its own batches.
+    The norms do not depend on the process count, and a share's error
+    reaches the caller.
     """
     _check_reps(reps)
     measurement.check_repetitions(m)
     sigma = states.nearest_density(dec.eigenvalues, dec.vectors)
     law = measurement.outcome_law(sigma)
     size = max(1, BATCH_CELLS // law.size)
-    batches = [[measurement.stream(seed, j) for j in range(start, min(start + size, reps))]
-               for start in range(0, reps, size)]
 
-    def norms(freqs: measurement.EmpiricalFrequencies) -> np.ndarray:
-        synth = inversion.linear_estimator(freqs)
-        return states.operator_norm(synth - sigma)
+    def norms(first: int, last: int) -> np.ndarray:
+        """The norms of batches ``first`` to ``last - 1``, drawn and inverted one batch at a time."""
+        out = []
+        for start in range(first * size, min(last * size, reps), size):
+            streams = [measurement.stream(seed, j) for j in range(start, min(start + size, reps))]
+            counts = np.empty((len(streams), *law.shape), dtype=np.int64)
+            freqs = measurement.empirical_frequencies(measurement.Dataset(
+                n=dec.n, m=m, counts=measurement.draw_counts(law, m, streams, counts)))
+            del counts  # freed before the inversion
+            out.append(states.operator_norm(inversion.linear_estimator(freqs) - sigma))
+            del freqs  # freed before the next batch's draw
+        return np.concatenate(out)
 
-    if len(batches) == 1:
-        counts = measurement.draw_counts(law, m, batches[0], np.empty((reps, *law.shape), dtype=np.int64))
-        freqs = measurement.empirical_frequencies(measurement.Dataset(n=dec.n, m=m, counts=counts))
-        del counts  # freed before the inversion, as in the threaded branch
-        return norms(freqs)
-    # imported here: concurrent.futures (with logging) would add ~10 ms to the
-    # start of every command, and only a multi-batch bootstrap uses it
-    from concurrent.futures import ThreadPoolExecutor
-
-    workers = min(_worker_count(), max(1, AHEAD_CELLS // (size * law.size)))
-    results = []
-    with ThreadPoolExecutor(workers) as pool:
-
-        def draw(streams: list):
-            out = np.empty((len(streams), *law.shape), dtype=np.int64)
-            return pool.submit(measurement.draw_counts, law, m, streams, out)
-
-        ahead = deque(map(draw, batches[:workers]))
-        try:
-            for later in range(workers, len(batches) + workers):
-                counts = ahead.popleft().result()
-                freqs = measurement.empirical_frequencies(
-                    measurement.Dataset(n=dec.n, m=m, counts=counts))
-                del counts  # freed before the next draw's buffer and the inversion
-                if later < len(batches):
-                    ahead.append(draw(batches[later]))
-                results.append(norms(freqs))
-        finally:
-            for drawn in ahead:
-                drawn.cancel()
-    return np.concatenate(results)
+    batches = -(-reps // size)
+    return np.concatenate(_shares.run_shares(norms, batches, size * law.size))
 
 
 def _check_reps(reps: int) -> int:
@@ -191,13 +162,6 @@ def _check_reps(reps: int) -> int:
     if reps < 2:
         raise ConfigError(f"bootstrap needs reps >= 2, got {reps}")
     return reps
-
-
-def _worker_count() -> int:
-    """One draw worker per CPU in this process's affinity mask."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def resolve_penalty(choice: PenaltyChoice, dec: rankpen.SpectralDecomposition, m: int, seed,

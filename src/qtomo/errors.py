@@ -13,6 +13,11 @@ class FormatError(ValueError):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}" if path else message)
         self.path = path
+        self._message = message
+
+    def __reduce__(self):
+        # rebuilt from both arguments, so that a worker process can send it
+        return type(self), (self.path, self._message)
 
 
 class ConfigError(ValueError):

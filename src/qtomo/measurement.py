@@ -15,7 +15,7 @@ function of the user seed and an integer key naming the draw, so the same
 Keys: () for ``simulate_dataset``; (j,) for bootstrap repetition j;
 (0, d, rep) and (1, d, rep) for the dataset and bootstrap of rank-study
 point (d, rep); (0, d, m, rep) for the dataset of error-study point (d, m, rep).
-A stream's draw has the same bits on any thread and in any row chunking:
+A stream's draw has the same bits in any process and in any row chunking:
 ``draw_counts`` draws a table's rows in chunks, one after another from the
 stream's one generator, which gives the bits of a single multinomial call.
 """
@@ -35,7 +35,7 @@ FREQ_ATOL = 1e-12
 _COUNT_MAX = np.iinfo(np.int64).max
 _POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)  # a count below 10^k has k digits or fewer
 # The most table cells that one multinomial call of ``draw_counts`` draws, so
-# the temporary it returns stays small whichever thread allocates it.
+# the temporary it returns stays small.
 DRAW_CHUNK_CELLS = 2**16
 
 
@@ -167,8 +167,7 @@ def draw_counts(law: np.ndarray, m: int, streams: list, out: np.ndarray) -> np.n
     ``out`` is an int64 array of shape (len(streams), *law.shape) that the
     caller allocates. Each stream's rows are drawn in chunks of at most
     ``DRAW_CHUNK_CELLS`` cells from one generator, in row order, which gives
-    the bits of one ``multinomial(m, law)`` call. Only the generator and the
-    chunk are touched, so a worker thread may fill a buffer.
+    the bits of one ``multinomial(m, law)`` call.
     """
     rows = max(1, DRAW_CHUNK_CELLS // law.shape[-1])
     for stream_seed, counts in zip(streams, out, strict=True):

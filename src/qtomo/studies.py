@@ -8,7 +8,9 @@ modes, its estimate is decomposed once and every mode selects a rank from
 that decomposition, so mode comparisons are paired. The oracle reads the
 operator error of the point's score. Each point draws from its own
 ``measurement.stream`` of the user seed, so records are reproducible and
-independent of execution order. The rank study keys its dataset (0, d, rep)
+independent of execution order: the sweep shares its points out in
+contiguous runs among forked worker processes (``_shares.run_shares``) and
+gives the same records at any process count. The rank study keys its dataset (0, d, rep)
 and its bootstrap (1, d, rep); the error study keys its dataset (0, d, m, rep).
 """
 
@@ -19,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import calibration, measurement, rankpen, states
+from . import _shares, calibration, measurement, rankpen, states
 from .errors import ConfigError, integer
 
 
@@ -47,7 +49,9 @@ def _sweep(
     Point (d, m, rep) draws its dataset from ``stream(seed, 0, *key(d, m, rep))``
     and its bootstrap from ``stream(seed, 1, *key(d, m, rep))``. ``modes``
     names each of ``choices`` in the records; without any choice, a point
-    gives one record of mode "none" with k_hat -1 and nu NaN.
+    gives one record of mode "none" with k_hat -1 and nu NaN. Each process
+    builds the outcome law of each rank it reaches once, and the records of
+    the processes are joined in point order.
     """
     if not d_values or not m_values:
         raise ConfigError("empty sweep")
@@ -56,23 +60,33 @@ def _sweep(
     rhos = [states.diag_state(n, d) for d in d_values]  # 2^n x 2^n each, no 6^n table yet
     for m in m_values:
         measurement.check_repetitions(m)
-    records: list[StudyRecord] = []
-    for d, rho in zip(d_values, rhos):
-        law = measurement.outcome_law(rho)
-        for m in m_values:
-            for rep in range(reps):
-                stream_key = key(d, m, rep)
-                dec, penalties, op_error, frob_error = calibration.calibrate(
-                    measurement.draw_dataset(law, m, measurement.stream(seed, 0, *stream_key)),
-                    choices, measurement.stream(seed, 1, *stream_key), rho)
-                shared = dict(d=d, m=m, rep=rep, op_error=op_error, frob_error=frob_error)
-                if not choices:
-                    records.append(StudyRecord(mode="none", k_hat=-1, nu=float("nan"), **shared))
-                for mode, (nu, _details) in zip(modes, penalties):
-                    k_hat = rankpen.select_rank_threshold(dec, nu)
-                    records.append(StudyRecord(mode=mode, k_hat=k_hat, nu=nu, **shared))
-                del dec, penalties  # freed before the next point's bootstrap, the sweep's memory peak
-    return records
+    points = [(i, m, rep) for i in range(len(d_values)) for m in m_values for rep in range(reps)]
+
+    def share(first: int, last: int) -> list[StudyRecord]:
+        """The records of points ``first`` to ``last - 1``, each rank's outcome law built once."""
+        records: list[StudyRecord] = []
+        built, law = None, None  # the index into d_values of ``law``
+        for i, m, rep in points[first:last]:
+            d, rho = d_values[i], rhos[i]
+            if built != i:
+                built, law = i, measurement.outcome_law(rho)
+            stream_key = key(d, m, rep)
+            dec, penalties, op_error, frob_error = calibration.calibrate(
+                measurement.draw_dataset(law, m, measurement.stream(seed, 0, *stream_key)),
+                choices, measurement.stream(seed, 1, *stream_key), rho)
+            shared = dict(d=d, m=m, rep=rep, op_error=op_error, frob_error=frob_error)
+            if not choices:
+                records.append(StudyRecord(mode="none", k_hat=-1, nu=float("nan"), **shared))
+            for mode, (nu, _details) in zip(modes, penalties):
+                k_hat = rankpen.select_rank_threshold(dec, nu)
+                records.append(StudyRecord(mode=mode, k_hat=k_hat, nu=nu, **shared))
+            del dec, penalties  # freed before the next point's bootstrap, the sweep's memory peak
+        return records
+
+    # a point draws its dataset and the repetitions of each bootstrap choice
+    cells = 6**n * (1 + sum(choice.reps for choice in choices if choice.mode == "bootstrap"))
+    return [record for records in _shares.run_shares(share, len(points), cells)
+            for record in records]
 
 
 def rank_study(

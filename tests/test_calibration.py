@@ -1,15 +1,15 @@
 import json
 import math
+import os
 import threading
-import weakref
 
 import numpy as np
 import pytest
 
 import qtomo
 from conftest import maximally_mixed
-from qtomo import calibration, inversion, measurement, rankpen, states
-from qtomo.errors import ConfigError
+from qtomo import _shares, calibration, inversion, measurement, rankpen, states
+from qtomo.errors import ConfigError, FormatError
 
 
 ORACLE = calibration.PenaltyChoice("oracle")
@@ -346,6 +346,7 @@ def _batch_sizes(monkeypatch) -> list:
 
 
 def test_bootstrap_batches_give_the_bits_of_a_per_repetition_loop(monkeypatch):
+    monkeypatch.setattr(_shares, "_worker_count", lambda: 1)  # one process: the counts see every call
     n, m, seed = 5, 30, 31
     per_batch = calibration.BATCH_CELLS // 6**n
     assert per_batch > 1
@@ -368,6 +369,12 @@ def test_bootstrap_batches_give_the_bits_of_a_per_repetition_loop(monkeypatch):
     assert norms.tolist() == expected
 
 
+def _processes(monkeypatch, count: int) -> None:
+    """Let calls fork up to ``count`` processes, however small their work."""
+    monkeypatch.setattr(_shares, "_worker_count", lambda: count)
+    monkeypatch.setattr(_shares, "SHARE_CELLS", 1)
+
+
 def _multi_batch_bootstrap(reps: int = 9):
     """(decomposition, m, reps, seed) of an n = 5 bootstrap of three batches."""
     assert calibration.BATCH_CELLS // 6**5 == 4
@@ -376,10 +383,11 @@ def _multi_batch_bootstrap(reps: int = 9):
     return dec, 30, reps, 31
 
 
-@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 def test_bootstrap_bits_do_not_depend_on_the_worker_count(monkeypatch, workers):
+    # three batches: one process, two (two batches and one), one batch each
     dec, m, reps, seed = _multi_batch_bootstrap()
-    monkeypatch.setattr(calibration, "_worker_count", lambda: workers)
+    _processes(monkeypatch, workers)
     norms = calibration.bootstrap_norms(dec, m, reps, seed)
     monkeypatch.undo()
 
@@ -393,40 +401,41 @@ def test_bootstrap_bits_do_not_depend_on_the_worker_count(monkeypatch, workers):
     assert norms.tolist() == expected
 
 
-def test_a_one_batch_bootstrap_builds_no_executor(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a one-batch bootstrap started a thread pool")
+def test_a_one_batch_bootstrap_forks_no_process(monkeypatch):
+    def refuse():
+        raise AssertionError("a one-batch bootstrap forked")
 
-    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", refuse)
+    _processes(monkeypatch, 4)
+    monkeypatch.setattr(os, "fork", refuse)
     ds = measurement.simulate_dataset(states.mixture(4, 2, 0.3), 30, 5)
     dec = rankpen.spectral(inversion.linear_estimator(measurement.empirical_frequencies(ds)))
     assert calibration.bootstrap_norms(dec, 30, 20, 7).shape == (20,)
 
 
-def test_only_the_draws_of_a_multi_batch_bootstrap_leave_the_calling_thread(monkeypatch):
-    # the traced functions, and the inversion's temporaries, stay on this thread
+def test_a_multi_batch_bootstrap_starts_no_thread(monkeypatch):
+    # the calling process draws its own share on the calling thread
     dec, m, reps, seed = _multi_batch_bootstrap()
-    monkeypatch.setattr(calibration, "_worker_count", lambda: 2)
-    threads = {}
-    for module, name in [(measurement, "empirical_frequencies"), (inversion, "linear_estimator"),
-                         (states, "operator_norm"), (measurement, "draw_counts")]:
-        monkeypatch.setattr(module, name, lambda *a, f=getattr(module, name), name=name: (
-            threads.setdefault(name, set()).add(threading.get_ident()) or f(*a)))
+    _processes(monkeypatch, 3)
+    threads, draw = set(), measurement.draw_counts
+    monkeypatch.setattr(measurement, "draw_counts", lambda *a: threads.add(
+        threading.get_ident()) or draw(*a))
     before = threading.active_count()
     assert calibration.bootstrap_norms(dec, m, reps, seed).shape == (reps,)
-    assert threading.active_count() == before  # the pool is gone with the call
-    main = {threading.get_ident()}
-    assert threads["empirical_frequencies"] == threads["linear_estimator"] == main
-    assert threads["operator_norm"] == main
-    assert threads["draw_counts"] and not threads["draw_counts"] & main
+    assert threading.active_count() == before
+    assert threads == {threading.get_ident()}
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_failed_draw_reaches_the_caller_and_stops_later_draws(monkeypatch, workers):
-    # six batches of four; the second batch's draw fails
+    # six batches of four; the second, in the calling process's share, fails
     dec, m, reps, seed = _multi_batch_bootstrap(reps=24)
-    monkeypatch.setattr(calibration, "_worker_count", lambda: workers)
-    started = []
+    _processes(monkeypatch, workers)
+    started = []  # the batches this process drew
     draw = measurement.draw_counts
 
     def failing(law, m, streams, out):
@@ -437,49 +446,38 @@ def test_a_failed_draw_reaches_the_caller_and_stops_later_draws(monkeypatch, wor
         return draw(law, m, streams, out)
 
     monkeypatch.setattr(measurement, "draw_counts", failing)
-    before = threading.active_count()
     with pytest.raises(RuntimeError, match="draw failed"):
         calibration.bootstrap_norms(dec, m, reps, seed)
-    assert threading.active_count() == before
-    # batch 1 fails while at most one batch per worker is drawn ahead of it
-    assert {0, 1} <= set(started) <= set(range(1 + workers))
+    assert started == [0, 1]
+    _no_child_left()  # a child drawing later batches is stopped and reaped
 
 
-def test_the_draws_ahead_hold_at_most_ahead_cells_whatever_the_cpu_count(monkeypatch):
-    # 8 MB of counts: three n = 7 repetitions, and one from n = 8 on
-    assert calibration.AHEAD_CELLS // 6**7 == 3
-    assert calibration.AHEAD_CELLS // 6**8 == 0
-    ds = measurement.simulate_dataset(states.ghz(6), 20, 41)
-    dec = rankpen.spectral(inversion.linear_estimator(measurement.empirical_frequencies(ds)))
-    # with room for two n = 6 repetitions, many CPUs still draw two ahead
-    monkeypatch.setattr(calibration, "AHEAD_CELLS", 2 * 6**6 + 1)
-    monkeypatch.setattr(calibration, "_worker_count", lambda: 16)
-    live, peak, threads = [0], [0], set()
-    empty, draw = np.empty, measurement.draw_counts
+@pytest.mark.parametrize("error", [
+    ConfigError("bad setting"), FormatError("counts[3].outcome", "bad outcome"),
+    RuntimeError("draw failed")], ids=lambda e: type(e).__name__)
+def test_a_failed_draw_in_a_child_reaches_the_caller_with_its_type(monkeypatch, error):
+    # three batches in three processes; the last is a child's share
+    dec, m, reps, seed = _multi_batch_bootstrap()
+    _processes(monkeypatch, 3)
+    draw = measurement.draw_counts
 
-    def buffer(shape, dtype=float):
-        out = empty(shape, dtype)
-        if out.shape[1:] == (3**6, 2**6) and out.dtype == np.int64:
-            live[0] += 1
-            peak[0] = max(peak[0], live[0])
-            weakref.finalize(out, lambda: live.__setitem__(0, live[0] - 1))
-        return out
+    def failing(law, m, streams, out):
+        if streams[0].spawn_key[-1] // 4 == 2:
+            raise error
+        return draw(law, m, streams, out)
 
-    def counting(*args):
-        threads.add(threading.get_ident())
-        return draw(*args)
-
-    monkeypatch.setattr(np, "empty", buffer)
-    monkeypatch.setattr(measurement, "draw_counts", counting)
-    norms = calibration.bootstrap_norms(dec, 20, 6, 43)
-    monkeypatch.undo()
-    assert peak == [2] and len(threads) <= 2
-    assert norms.tolist() == calibration.bootstrap_norms(dec, 20, 6, 43).tolist()
+    monkeypatch.setattr(measurement, "draw_counts", failing)
+    with pytest.raises(type(error)) as raised:
+        calibration.bootstrap_norms(dec, m, reps, seed)
+    assert str(raised.value) == str(error)
+    assert getattr(raised.value, "path", None) == getattr(error, "path", None)
+    _no_child_left()
 
 
 def test_bootstrap_batches_hold_one_repetition_from_six_qubits(monkeypatch):
     # a 6^6 table alone exceeds the cap, so a large run keeps the memory of
     # one repetition at every n >= 6
+    monkeypatch.setattr(_shares, "_worker_count", lambda: 1)  # one process: the counts see every call
     assert calibration.BATCH_CELLS < 6**6
     ds = measurement.simulate_dataset(states.ghz(6), 20, 41)
     est = inversion.linear_estimator(measurement.empirical_frequencies(ds))

@@ -9,7 +9,7 @@ from conftest import (
     reference_physical_estimate,
     state_to_dict,
 )
-from qtomo import inversion, measurement, states
+from qtomo import _shares, inversion, measurement, states
 from qtomo.cli import main
 
 
@@ -254,6 +254,7 @@ def test_oracle_state_of_the_wrong_size_exit_2_and_writes_nothing(tmp_path, caps
 def test_rank_study_eigensolves_once_per_dataset(tmp_path, monkeypatch):
     # every mode, the bootstrap's sigma included, reads the one eigensystem
     # of each (d, rep) linear estimate
+    monkeypatch.setattr(_shares, "_worker_count", lambda: 1)  # one process: the counts see every call
     counted = _count_linalg(monkeypatch, "eigh")
     code = run("rank-study", "--n", 2, "--m", 40, "--d", "1,2,3", "--penalty",
                "oracle,theory,bootstrap,0.1", "--reps", 2, "--bootstrap-reps", 3,
@@ -265,6 +266,7 @@ def test_rank_study_eigensolves_once_per_dataset(tmp_path, monkeypatch):
 def test_rank_study_takes_two_operator_norms_per_dataset(tmp_path, monkeypatch):
     # the error norm of each (d, rep) estimate, which the oracle reads too, and
     # one stacked call for the bootstrap's synthetic errors
+    monkeypatch.setattr(_shares, "_worker_count", lambda: 1)  # one process: the counts see every call
     counted = _count_linalg(monkeypatch, "eigvalsh")
     code = run("rank-study", "--n", 2, "--m", 40, "--d", "1,2,3", "--penalty",
                "oracle,theory,bootstrap,0.1", "--reps", 2, "--bootstrap-reps", 3,

@@ -10,9 +10,9 @@ _spec = importlib.util.spec_from_file_location("identity", ROOT / "tools" / "ide
 identity = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(identity)
 
-# A seeded simulate, the bootstrap that reads its file on worker threads at
-# n = 5, a study, and a defective file: the determinism contract of the
-# ``measurement`` docstring, through the command line.
+# A seeded simulate, the multi-batch bootstrap that reads its file at n = 5, a
+# study, and a defective file: the determinism contract of the ``measurement``
+# docstring, through the command line.
 SUBSET = [
     "simulate --n 5 --m 100 --state ghz --seed 5 --out ghz5.json",
     "estimate ghz5.json --penalty bootstrap --reps 8 --seed 3 --out boot5/",

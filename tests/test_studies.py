@@ -1,7 +1,10 @@
+import itertools
+import os
+
 import numpy as np
 import pytest
 
-from qtomo import calibration, inversion, measurement, rankpen, states, studies
+from qtomo import _shares, calibration, inversion, measurement, rankpen, states, studies
 from qtomo.errors import ConfigError
 
 
@@ -74,6 +77,7 @@ def test_rank_study_nu_matches_independent_formulas():
 def test_rank_study_builds_one_outcome_law_per_state(monkeypatch):
     # one probability table per d for the datasets, and one per (d, rep) for
     # the bootstrap's sigma; the other modes build none
+    monkeypatch.setattr(_shares, "_worker_count", lambda: 1)  # one process: the counts see every call
     calls = []
     table = measurement.probability_table
     monkeypatch.setattr(
@@ -137,6 +141,7 @@ def test_error_study_aggregates():
 
 def test_error_study_draws_each_point_from_its_own_stream(monkeypatch):
     # one outcome law per state, and dataset (d, m, rep) from stream (0, d, m, rep)
+    monkeypatch.setattr(_shares, "_worker_count", lambda: 1)  # one process: the counts see every call
     n, seed = 2, 3
     tables = []
     table = measurement.probability_table
@@ -153,3 +158,55 @@ def test_error_study_draws_each_point_from_its_own_stream(monkeypatch):
         assert r.op_error == states.operator_norm(est - rho)
         assert r.frob_error == states.frobenius_norm(est - rho)
 
+
+
+def _processes(monkeypatch, count: int) -> None:
+    """Let calls fork up to ``count`` processes, however small their work."""
+    monkeypatch.setattr(_shares, "_worker_count", lambda: count)
+    monkeypatch.setattr(_shares, "SHARE_CELLS", 1)
+
+
+def _point(n: int, d: int, m: int, seed: int, key: tuple):
+    """(decomposition, op_error, frob_error) of one study point, computed alone."""
+    rho = states.diag_state(n, d)
+    ds = measurement.simulate_dataset(rho, m, measurement.stream(seed, 0, *key))
+    est = inversion.linear_estimator(measurement.empirical_frequencies(ds))
+    return rankpen.spectral(est), states.operator_norm(est - rho), states.frobenius_norm(est - rho)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_study_records_do_not_depend_on_the_process_count(monkeypatch, tmp_path, workers):
+    # the records of both studies against a per-point loop; each process
+    # builds the outcome law of each rank it reaches once
+    _processes(monkeypatch, workers)
+    log = tmp_path / "laws.txt"
+    law = measurement.outcome_law
+
+    def logged(rho):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return law(rho)
+
+    monkeypatch.setattr(measurement, "outcome_law", logged)
+    n, seed, d_values, m_values = 2, 6, [1, 2, 3], [20, 50]
+    errors, _ = studies.error_study(n, d_values, m_values, reps=2, seed=seed)
+    pids = log.read_text().split()
+    # 12 points in shares of 12, 6 or 4 reach the ranks (1, 2, 3), (1, 2 | 2, 3) or (1 | 2 | 3)
+    assert sorted(map(pids.count, set(pids))) == {1: [3], 2: [2, 2], 3: [1, 1, 1]}[workers]
+    ranks, _ = studies.rank_study(n, 40, d_values, modes=("oracle", "bootstrap"), reps=2,
+                                  seed=seed, bootstrap_reps=3)
+    monkeypatch.undo()
+
+    expected = []
+    for d, m, rep in itertools.product(d_values, m_values, range(2)):
+        _, op_error, frob_error = _point(n, d, m, seed, (d, m, rep))
+        expected.append(studies.StudyRecord(d, m, "none", rep, -1, float("nan"), op_error, frob_error))
+    assert repr(errors) == repr(expected)  # repr: NaN != NaN, and a float's repr keeps its bits
+    expected = []
+    for d, rep in itertools.product(d_values, range(2)):
+        dec, op_error, frob_error = _point(n, d, 40, seed, (d, rep))
+        boot = calibration.bootstrap_norms(dec, 40, 3, measurement.stream(seed, 1, d, rep))
+        for mode, nu in (("oracle", op_error**2), ("bootstrap", float(np.mean(boot)) ** 2)):
+            expected.append(studies.StudyRecord(
+                d, 40, mode, rep, rankpen.select_rank_threshold(dec, nu), nu, op_error, frob_error))
+    assert ranks == expected

@@ -16,8 +16,10 @@ equal lines to stderr; it exits 1 when any line differs.
 
 The list covers all six commands, the built-in states at n = 3..5, two
 n = 7 datasets, which the writer renders in several chunks, every penalty
-token, the bootstrap at n = 5 (two batches, drawn on worker threads), both
-studies, and the exit-2, exit-3 and exit-4 paths of every command (the
+token, the bootstrap at n = 5 (two batches, in one process) and at n = 6
+(20 batches, shared among worker processes), both studies, among them a
+rank study at n = 5 whose multi-batch bootstraps run inside the shares of a
+multi-process sweep and an error study of three sample sizes, and the exit-2, exit-3 and exit-4 paths of every command (the
 studies read no file, so they have no exit-4 path). The input files, valid
 and defective, are built here, deterministically, before the first
 invocation.
@@ -166,6 +168,14 @@ _SUCCESS = [
     "rank-study --n 3 --m 60 --d 1,3 --reps 2 --seed 2 --penalty oracle,theory,bootstrap,"
     "fixed:0.02,0.05 --bootstrap-reps 4 --theta 0.5 --eps 0.2 --out rank3-tokens.csv",
     "error-study --n 3 --m 30,100 --d 1,2 --reps 3 --seed 4 --out error3.csv",
+    # n = 5: a sweep of six points whose bootstraps hold five batches each, a
+    # multi-batch bootstrap inside each share of a multi-process sweep
+    "rank-study --n 5 --m 100 --d 1,3 --reps 3 --seed 5 --penalty oracle,bootstrap"
+    " --out rank5-boot.csv",
+    "error-study --n 5 --m 20,60,200 --d 1,2,5 --reps 5 --seed 6 --out error5.csv",
+    # n = 6: 20 bootstrap batches, shared among processes
+    "simulate --n 6 --m 100 --state mixture --d 2 --p 0.3 --seed 6 --out mixture6.json",
+    "estimate mixture6.json --penalty bootstrap --seed 6 --out boot6/",
     "error-study --n 2 --m 10 --d 4 --reps 2 --out error2.csv",
 ]
 
