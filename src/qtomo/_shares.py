@@ -42,15 +42,17 @@ def run_shares(work: Callable[[int, int], T], count: int, cells: int) -> list[T]
     """``[work(a, b)]`` over contiguous shares of ``range(count)``, in share order.
 
     ``cells`` is the count of table cells that one unit of work draws, which
-    also sets the scale of what it holds at once. The process count is min(CPUs in the
-    affinity mask, ``count``, ``PROCESS_CELLS // cells``, ``count * cells //
-    SHARE_CELLS``), at least 1. One process runs ``work(0, count)``, with no
-    fork, inside a running share, on a platform other than Linux, and when
-    this process has another live thread, which a fork would not copy. Share k runs on CPU k of the mask, this process's for the call
-    only: a kernel that does not balance load across CPUs (a cpuset with
-    sched_load_balance 0) would otherwise keep every child on this process's
-    CPU. An exception from any share reaches the caller with its type and
-    message; the other children are then stopped. No child outlives the call.
+    also sets the scale of what it holds at once. The process count is
+    min(CPUs in the affinity mask, ``count``, ``PROCESS_CELLS // cells``,
+    ``count * cells // SHARE_CELLS``), at least 1. One process runs
+    ``work(0, count)``, with no fork, inside a running share, on a platform
+    other than Linux, and when this process has another live thread, which a
+    fork would not copy. Share k runs on CPU k of the mask, this process's
+    for the call only: a kernel that does not balance load across CPUs (a
+    cpuset with sched_load_balance 0) would otherwise keep every child on
+    this process's CPU. An exception from any share reaches the caller with
+    its type and message; the other children are then stopped. No child
+    outlives the call.
     """
     processes = 1
     if sys.platform == "linux" and not _in_share and threading.active_count() == 1:
@@ -76,7 +78,7 @@ def run_shares(work: Callable[[int, int], T], count: int, cells: int) -> list[T]
     finally:
         os.sched_setaffinity(0, mask)
         for pid, fd in children:
-            os.kill(pid, signal.SIGKILL)  # a no-op for a child that has sent its result
+            os.kill(pid, signal.SIGKILL)  # harmless once a child has sent its result
             os.close(fd)
             os.waitpid(pid, 0)
 

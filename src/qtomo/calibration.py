@@ -140,7 +140,7 @@ def bootstrap_norms(
     size = max(1, BATCH_CELLS // law.size)
 
     def norms(first: int, last: int) -> np.ndarray:
-        """The norms of batches ``first`` to ``last - 1``, drawn and inverted one batch at a time."""
+        """The norms of batches ``first`` to ``last - 1``, drawn and inverted a batch at a time."""
         out = []
         for start in range(first * size, min(last * size, reps), size):
             streams = [measurement.stream(seed, j) for j in range(start, min(start + size, reps))]

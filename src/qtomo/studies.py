@@ -10,8 +10,9 @@ operator error of the point's score. Each point draws from its own
 ``measurement.stream`` of the user seed, so records are reproducible and
 independent of execution order: the sweep shares its points out in
 contiguous runs among forked worker processes (``_shares.run_shares``) and
-gives the same records at any process count. The rank study keys its dataset (0, d, rep)
-and its bootstrap (1, d, rep); the error study keys its dataset (0, d, m, rep).
+gives the same records at any process count. The rank study keys its
+dataset (0, d, rep) and its bootstrap (1, d, rep); the error study keys its
+dataset (0, d, m, rep).
 """
 
 from __future__ import annotations
