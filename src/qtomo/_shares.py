@@ -24,8 +24,9 @@ T = TypeVar("T")
 
 # The most table cells that the processes of one call draw at once, one unit
 # of work each (``cells``, see ``run_shares``), so the memory of a call does
-# not grow with the CPU count: two processes for 6^8-cell units and one from
-# 6^9 on.
+# not grow with the CPU count: 2^22 cells is two processes for 6^8-cell units.
+# A call may always use two processes, however large its units, so that the
+# largest bootstraps still draw one repetition while another is inverted.
 PROCESS_CELLS = 2**22
 # The fewest table cells that each process of a call draws: a fork costs a
 # few milliseconds (page tables, copy-on-write faults, reaping), about what
@@ -43,20 +44,26 @@ def run_shares(work: Callable[[int, int], T], count: int, cells: int) -> list[T]
 
     ``cells`` is the count of table cells that one unit of work draws, which
     also sets the scale of what it holds at once. The process count is
-    min(CPUs in the affinity mask, ``count``, ``PROCESS_CELLS // cells``,
-    ``count * cells // SHARE_CELLS``), at least 1. One process runs
+    min(CPUs in the affinity mask, ``count``, max(2, ``PROCESS_CELLS //
+    cells``), ``count * cells // SHARE_CELLS``), at least 1. One process runs
     ``work(0, count)``, with no fork, inside a running share, on a platform
-    other than Linux, and when this process has another live thread, which a
-    fork would not copy. Share k runs on CPU k of the mask, this process's
-    for the call only: a kernel that does not balance load across CPUs (a
-    cpuset with sched_load_balance 0) would otherwise keep every child on
-    this process's CPU. An exception from any share reaches the caller with
-    its type and message; the other children are then stopped. No child
-    outlives the call.
+    other than Linux, and when this process has another live Python thread,
+    which a fork would not copy. Threads that Python does not know of, such
+    as a BLAS library's pool, are not counted: OpenBLAS, numpy's usual BLAS,
+    stops its pool around a fork, but a BLAS whose threads do not survive a
+    fork (GNU OpenMP) may hang a child that calls it.
+
+    This process stays where it runs. Each child moves itself to its own CPU
+    of the mask, starting after this process's CPU, and then takes back the
+    whole mask: a kernel that does not balance load (a cpuset with
+    sched_load_balance 0) would otherwise keep every child on this process's
+    CPU, and one that does may still move the child. An exception from any
+    share reaches the caller with its type and message; the other children
+    are then stopped. No child outlives the call.
     """
     processes = 1
     if sys.platform == "linux" and not _in_share and threading.active_count() == 1:
-        processes = min(_worker_count(), count, PROCESS_CELLS // cells,
+        processes = min(_worker_count(), count, max(2, PROCESS_CELLS // cells),
                         count * cells // SHARE_CELLS)
     if processes < 2:
         return [work(0, count)]
@@ -64,19 +71,17 @@ def run_shares(work: Callable[[int, int], T], count: int, cells: int) -> list[T]
     # share takes more copy-on-write faults
     bounds = [count - count * (processes - k) // processes for k in range(processes + 1)]
     mask = os.sched_getaffinity(0)
-    cpus = sorted(mask)
+    cpus = _cpus_after_this_one(mask)
     children = []  # (pid, read end of its pipe) per share after the first
     try:
         for k in range(1, processes):
-            children.append(_fork(work, bounds[k], bounds[k + 1], cpus[k % len(cpus)]))
-        os.sched_setaffinity(0, {cpus[0]})
+            children.append(_fork(work, bounds[k], bounds[k + 1], cpus[(k - 1) % len(cpus)], mask))
         results = [_run(work, bounds[0], bounds[1])]
         for _, fd in children:
             with open(fd, "rb", closefd=False) as pipe:
                 results.append(_result(pipe.read()))
         return results
     finally:
-        os.sched_setaffinity(0, mask)
         for pid, fd in children:
             os.kill(pid, signal.SIGKILL)  # harmless once a child has sent its result
             os.close(fd)
@@ -88,6 +93,18 @@ def _worker_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
+def _cpus_after_this_one(mask: set[int]) -> list[int]:
+    """The CPUs of ``mask`` in a ring that starts after the one this process last ran on."""
+    cpus = sorted(mask)
+    try:
+        with open("/proc/self/stat", "rb") as stat:
+            cpu = int(stat.read().rsplit(b")", 1)[1].split()[36])  # field 39, "processor"
+    except OSError:  # no /proc: start the ring at the first CPU
+        cpu = None
+    k = cpus.index(cpu) + 1 if cpu in mask else 0
+    return cpus[k:] + cpus[:k]
+
+
 def _run(work: Callable[[int, int], T], a: int, b: int) -> T:
     global _in_share
     _in_share = True
@@ -97,15 +114,17 @@ def _run(work: Callable[[int, int], T], a: int, b: int) -> T:
         _in_share = False
 
 
-def _fork(work: Callable[[int, int], T], a: int, b: int, cpu: int) -> tuple[int, int]:
-    """Start a child on ``cpu`` that sends back ``(True, work(a, b))`` or ``(False, exception)``."""
+def _fork(work: Callable[[int, int], T], a: int, b: int, cpu: int,
+          mask: set[int]) -> tuple[int, int]:
+    """Start a child, moved to ``cpu``, that sends back ``(True, work(a, b))`` or ``(False, exception)``."""
     read, write = os.pipe()
     pid = os.fork()
     if pid == 0:
         status = 1
         try:
             os.close(read)
-            os.sched_setaffinity(0, {cpu})
+            os.sched_setaffinity(0, {cpu})  # moves the child there
+            os.sched_setaffinity(0, mask)
             try:
                 sent = True, _run(work, a, b)
             except BaseException as exc:  # sent to the caller, which raises it

@@ -8,6 +8,7 @@ import pytest
 
 import qtomo
 from conftest import maximally_mixed
+from forking import allow_processes, no_child_left
 from qtomo import _shares, calibration, inversion, measurement, rankpen, states
 from qtomo.errors import ConfigError, FormatError
 
@@ -369,12 +370,6 @@ def test_bootstrap_batches_give_the_bits_of_a_per_repetition_loop(monkeypatch):
     assert norms.tolist() == expected
 
 
-def _processes(monkeypatch, count: int) -> None:
-    """Let calls fork up to ``count`` processes, however small their work."""
-    monkeypatch.setattr(_shares, "_worker_count", lambda: count)
-    monkeypatch.setattr(_shares, "SHARE_CELLS", 1)
-
-
 def _multi_batch_bootstrap(reps: int = 9):
     """(decomposition, m, reps, seed) of an n = 5 bootstrap of three batches."""
     assert calibration.BATCH_CELLS // 6**5 == 4
@@ -387,7 +382,7 @@ def _multi_batch_bootstrap(reps: int = 9):
 def test_bootstrap_bits_do_not_depend_on_the_worker_count(monkeypatch, workers):
     # three batches: one process, two (two batches and one), one batch each
     dec, m, reps, seed = _multi_batch_bootstrap()
-    _processes(monkeypatch, workers)
+    allow_processes(monkeypatch, workers)
     norms = calibration.bootstrap_norms(dec, m, reps, seed)
     monkeypatch.undo()
 
@@ -405,7 +400,7 @@ def test_a_one_batch_bootstrap_forks_no_process(monkeypatch):
     def refuse():
         raise AssertionError("a one-batch bootstrap forked")
 
-    _processes(monkeypatch, 4)
+    allow_processes(monkeypatch, 4)
     monkeypatch.setattr(os, "fork", refuse)
     ds = measurement.simulate_dataset(states.mixture(4, 2, 0.3), 30, 5)
     dec = rankpen.spectral(inversion.linear_estimator(measurement.empirical_frequencies(ds)))
@@ -415,7 +410,7 @@ def test_a_one_batch_bootstrap_forks_no_process(monkeypatch):
 def test_a_multi_batch_bootstrap_starts_no_thread(monkeypatch):
     # the calling process draws its own share on the calling thread
     dec, m, reps, seed = _multi_batch_bootstrap()
-    _processes(monkeypatch, 3)
+    allow_processes(monkeypatch, 3)
     threads, draw = set(), measurement.draw_counts
     monkeypatch.setattr(measurement, "draw_counts", lambda *a: threads.add(
         threading.get_ident()) or draw(*a))
@@ -425,16 +420,11 @@ def test_a_multi_batch_bootstrap_starts_no_thread(monkeypatch):
     assert threads == {threading.get_ident()}
 
 
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_failed_draw_reaches_the_caller_and_stops_later_draws(monkeypatch, workers):
     # six batches of four; the second, in the calling process's share, fails
     dec, m, reps, seed = _multi_batch_bootstrap(reps=24)
-    _processes(monkeypatch, workers)
+    allow_processes(monkeypatch, workers)
     started = []  # the batches this process drew
     draw = measurement.draw_counts
 
@@ -449,7 +439,7 @@ def test_a_failed_draw_reaches_the_caller_and_stops_later_draws(monkeypatch, wor
     with pytest.raises(RuntimeError, match="draw failed"):
         calibration.bootstrap_norms(dec, m, reps, seed)
     assert started == [0, 1]
-    _no_child_left()  # a child drawing later batches is stopped and reaped
+    no_child_left()  # a child drawing later batches is stopped and reaped
 
 
 @pytest.mark.parametrize("error", [
@@ -458,7 +448,7 @@ def test_a_failed_draw_reaches_the_caller_and_stops_later_draws(monkeypatch, wor
 def test_a_failed_draw_in_a_child_reaches_the_caller_with_its_type(monkeypatch, error):
     # three batches in three processes; the last is a child's share
     dec, m, reps, seed = _multi_batch_bootstrap()
-    _processes(monkeypatch, 3)
+    allow_processes(monkeypatch, 3)
     draw = measurement.draw_counts
 
     def failing(law, m, streams, out):
@@ -471,7 +461,7 @@ def test_a_failed_draw_in_a_child_reaches_the_caller_with_its_type(monkeypatch, 
         calibration.bootstrap_norms(dec, m, reps, seed)
     assert str(raised.value) == str(error)
     assert getattr(raised.value, "path", None) == getattr(error, "path", None)
-    _no_child_left()
+    no_child_left()
 
 
 def test_bootstrap_batches_hold_one_repetition_from_six_qubits(monkeypatch):

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from forking import no_child_left
 from qtomo import _shares
 from qtomo.errors import ConfigError, FormatError
 
@@ -16,20 +17,11 @@ def _where(a: int, b: int) -> tuple:
     return a, b, os.getpid()
 
 
-def _cpus(a: int, b: int) -> set:
-    return os.sched_getaffinity(0)
-
-
 def _refuse_fork(monkeypatch):
     def refuse():
         raise AssertionError("forked")
 
     monkeypatch.setattr(os, "fork", refuse)
-
-
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def test_shares_run_in_order_one_process_each(monkeypatch):
@@ -38,23 +30,56 @@ def test_shares_run_in_order_one_process_each(monkeypatch):
     assert [(a, b) for a, b, _ in results] == [(0, 3), (3, 5), (5, 7)]  # the first is largest
     pids = [pid for _, _, pid in results]
     assert pids[0] == os.getpid() and len(set(pids)) == 3
-    _no_child_left()
+    no_child_left()
 
 
-def test_each_share_runs_on_its_own_cpu_and_the_caller_keeps_its_mask(monkeypatch):
+def test_each_child_moves_to_its_own_cpu_and_every_process_keeps_the_mask(monkeypatch):
+    # the caller is not moved; child k goes to CPU k - 1 of the ring, then
+    # takes back the whole mask
     monkeypatch.setattr(_shares, "_worker_count", lambda: 3)
+    moves, setaffinity = [], os.sched_setaffinity
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: moves.append(
+        set(cpus)) or setaffinity(pid, cpus))
+    mask = os.sched_getaffinity(0)
+    ring = sorted(mask)[::-1]
+    monkeypatch.setattr(_shares, "_cpus_after_this_one", lambda m: ring if m == mask else None)
+
+    def work(a, b):
+        return moves, os.sched_getaffinity(0)
+
+    assert _shares.run_shares(work, 3, UNIT) == [
+        ([], mask), ([{ring[0]}, mask], mask), ([{ring[1 % len(ring)]}, mask], mask)]
+    assert moves == [] and os.sched_getaffinity(0) == mask
+
+
+def test_the_cpu_ring_starts_after_the_cpu_this_process_runs_on():
     mask = os.sched_getaffinity(0)
     cpus = sorted(mask)
-    assert _shares.run_shares(_cpus, 3, UNIT) == [{cpus[k % len(cpus)]} for k in range(3)]
-    assert os.sched_getaffinity(0) == mask
+    try:
+        for k, cpu in enumerate(cpus):
+            os.sched_setaffinity(0, {cpu})
+            assert _shares._cpus_after_this_one(mask) == cpus[k + 1:] + cpus[:k + 1]
+    finally:
+        os.sched_setaffinity(0, mask)
+
+
+def test_without_proc_the_cpu_ring_starts_at_the_first_cpu(monkeypatch):
+    def unreadable(path, mode="r"):
+        raise FileNotFoundError(path)
+
+    monkeypatch.setattr(_shares, "open", unreadable, raising=False)
+    mask = os.sched_getaffinity(0)
+    assert _shares._cpus_after_this_one(mask) == sorted(mask)
 
 
 def test_the_process_count_is_capped_by_memory_whatever_the_cpu_count(monkeypatch):
-    # two processes for work on 6^8-cell tables, one from n = 9 on
+    # three processes for units of a third of PROCESS_CELLS, and two however
+    # large the units: the largest bootstraps draw while they invert
     monkeypatch.setattr(_shares, "_worker_count", lambda: 16)
-    assert len({pid for _, _, pid in _shares.run_shares(_where, 10, 6**8)}) == 2
-    _refuse_fork(monkeypatch)
-    assert _shares.run_shares(_where, 10, 6**9) == [(0, 10, os.getpid())]
+    units = {_shares.PROCESS_CELLS // 3: 3, 6**8: 2, 6**9: 2, 6**12: 2}
+    for cells, processes in units.items():
+        assert len({pid for _, _, pid in _shares.run_shares(_where, 10, cells)}) == processes
+    no_child_left()
 
 
 def _in_a_share(work):
@@ -108,7 +133,7 @@ def test_a_failed_share_stops_the_other_children(monkeypatch):
         _shares.run_shares(work, 3, UNIT)
     assert time.monotonic() - start < 30
     assert os.sched_getaffinity(0) == mask
-    _no_child_left()
+    no_child_left()
 
 
 def test_a_child_that_ends_without_a_result_is_an_error(monkeypatch):
@@ -121,7 +146,7 @@ def test_a_child_that_ends_without_a_result_is_an_error(monkeypatch):
 
     with pytest.raises(RuntimeError, match="ended without sending its result"):
         _shares.run_shares(work, 2, UNIT)
-    _no_child_left()
+    no_child_left()
 
 
 def test_unflushed_bytes_of_an_open_file_are_written_once(monkeypatch, tmp_path):

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from forking import allow_processes
 from qtomo import _shares, calibration, inversion, measurement, rankpen, states, studies
 from qtomo.errors import ConfigError
 
@@ -159,13 +160,6 @@ def test_error_study_draws_each_point_from_its_own_stream(monkeypatch):
         assert r.frob_error == states.frobenius_norm(est - rho)
 
 
-
-def _processes(monkeypatch, count: int) -> None:
-    """Let calls fork up to ``count`` processes, however small their work."""
-    monkeypatch.setattr(_shares, "_worker_count", lambda: count)
-    monkeypatch.setattr(_shares, "SHARE_CELLS", 1)
-
-
 def _point(n: int, d: int, m: int, seed: int, key: tuple):
     """(decomposition, op_error, frob_error) of one study point, computed alone."""
     rho = states.diag_state(n, d)
@@ -178,7 +172,7 @@ def _point(n: int, d: int, m: int, seed: int, key: tuple):
 def test_study_records_do_not_depend_on_the_process_count(monkeypatch, tmp_path, workers):
     # the records of both studies against a per-point loop; each process
     # builds the outcome law of each rank it reaches once
-    _processes(monkeypatch, workers)
+    allow_processes(monkeypatch, workers)
     log = tmp_path / "laws.txt"
     law = measurement.outcome_law
 
