@@ -13,6 +13,7 @@ count as long as every unit of work draws from its own ``measurement.stream``.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pickle
 import signal
@@ -47,11 +48,13 @@ def run_shares(work: Callable[[int, int], T], count: int, cells: int) -> list[T]
     min(CPUs in the affinity mask, ``count``, max(2, ``PROCESS_CELLS //
     cells``), ``count * cells // SHARE_CELLS``), at least 1. One process runs
     ``work(0, count)``, with no fork, inside a running share, on a platform
-    other than Linux, and when this process has another live Python thread,
-    which a fork would not copy. Threads that Python does not know of, such
-    as a BLAS library's pool, are not counted: OpenBLAS, numpy's usual BLAS,
-    stops its pool around a fork, but a BLAS whose threads do not survive a
-    fork (GNU OpenMP) may hang a child that calls it.
+    other than Linux, when this process has another live Python thread,
+    which a fork would not copy, and on a thread other than the main one,
+    the only one that may set the SIGCHLD disposition (see below). Threads
+    that Python does not know of, such as a BLAS library's pool, are not
+    counted: OpenBLAS, numpy's usual BLAS, stops its pool around a fork, but
+    a BLAS whose threads do not survive a fork (GNU OpenMP) may hang a child
+    that calls it.
 
     This process stays where it runs. Each child moves itself to its own CPU
     of the mask, starting after this process's CPU, and then takes back the
@@ -59,10 +62,16 @@ def run_shares(work: Callable[[int, int], T], count: int, cells: int) -> list[T]
     sched_load_balance 0) would otherwise keep every child on this process's
     CPU, and one that does may still move the child. An exception from any
     share reaches the caller with its type and message; the other children
-    are then stopped. No child outlives the call.
+    are then stopped. No child outlives the call, and a failed fork leaves
+    no descriptor open. An ignored SIGCHLD, which would let the kernel reap
+    a child, and give its pid away, before the call stops it, is set to its
+    default for the call; the caller's own children that end meanwhile are
+    reaped after it.
     """
+    global _in_share
     processes = 1
-    if sys.platform == "linux" and not _in_share and threading.active_count() == 1:
+    if (sys.platform == "linux" and not _in_share and threading.active_count() == 1
+            and threading.current_thread() is threading.main_thread()):
         processes = min(_worker_count(), count, max(2, PROCESS_CELLS // cells),
                         count * cells // SHARE_CELLS)
     if processes < 2:
@@ -73,19 +82,29 @@ def run_shares(work: Callable[[int, int], T], count: int, cells: int) -> list[T]
     mask = os.sched_getaffinity(0)
     cpus = _cpus_after_this_one(mask)
     children = []  # (pid, read end of its pipe) per share after the first
+    ignored = signal.getsignal(signal.SIGCHLD) == signal.SIG_IGN
     try:
+        _in_share = True  # in this process and in every child
+        if ignored:
+            signal.signal(signal.SIGCHLD, signal.SIG_DFL)
         for k in range(1, processes):
             children.append(_fork(work, bounds[k], bounds[k + 1], cpus[(k - 1) % len(cpus)], mask))
-        results = [_run(work, bounds[0], bounds[1])]
+        results = [work(bounds[0], bounds[1])]
         for _, fd in children:
             with open(fd, "rb", closefd=False) as pipe:
                 results.append(_result(pipe.read()))
         return results
     finally:
+        _in_share = False
         for pid, fd in children:
             os.kill(pid, signal.SIGKILL)  # harmless once a child has sent its result
             os.close(fd)
             os.waitpid(pid, 0)
+        if ignored:  # once the children are reaped: waitpid fails while it is ignored
+            signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+            with contextlib.suppress(ChildProcessError):
+                while os.waitpid(-1, os.WNOHANG)[0]:
+                    pass
 
 
 def _worker_count() -> int:
@@ -105,20 +124,16 @@ def _cpus_after_this_one(mask: set[int]) -> list[int]:
     return cpus[k:] + cpus[:k]
 
 
-def _run(work: Callable[[int, int], T], a: int, b: int) -> T:
-    global _in_share
-    _in_share = True
-    try:
-        return work(a, b)
-    finally:
-        _in_share = False
-
-
 def _fork(work: Callable[[int, int], T], a: int, b: int, cpu: int,
           mask: set[int]) -> tuple[int, int]:
     """Start a child, moved to ``cpu``, that sends back ``(True, work(a, b))`` or ``(False, exception)``."""
     read, write = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
     if pid == 0:
         status = 1
         try:
@@ -126,7 +141,7 @@ def _fork(work: Callable[[int, int], T], a: int, b: int, cpu: int,
             os.sched_setaffinity(0, {cpu})  # moves the child there
             os.sched_setaffinity(0, mask)
             try:
-                sent = True, _run(work, a, b)
+                sent = True, work(a, b)
             except BaseException as exc:  # sent to the caller, which raises it
                 sent = False, exc
             with open(write, "wb") as pipe:

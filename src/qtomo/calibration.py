@@ -144,10 +144,8 @@ def bootstrap_norms(
         out = []
         for start in range(first * size, min(last * size, reps), size):
             streams = [measurement.stream(seed, j) for j in range(start, min(start + size, reps))]
-            counts = np.empty((len(streams), *law.shape), dtype=np.int64)
             freqs = measurement.empirical_frequencies(measurement.Dataset(
-                n=dec.n, m=m, counts=measurement.draw_counts(law, m, streams, counts)))
-            del counts  # freed before the inversion
+                n=dec.n, m=m, counts=measurement.draw_counts(law, m, streams)))
             out.append(states.operator_norm(inversion.linear_estimator(freqs) - sigma))
             del freqs  # freed before the next batch's draw
         return np.concatenate(out)

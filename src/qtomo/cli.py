@@ -121,7 +121,7 @@ def cmd_estimate(args) -> int:
     mode, dec, nu = _calibrated(args)[:3]
     fit = rankpen.penalized_fit(dec, nu)
     text = _json_text({
-        "nu": fit.nu,
+        "nu": float(nu),
         "k_hat": fit.k_hat,
         "singular_values": dec.singular_values.tolist(),
         "objective": fit.objective.tolist(),
@@ -335,7 +335,3 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

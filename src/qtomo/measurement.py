@@ -157,20 +157,19 @@ def draw_dataset(law: np.ndarray, m: int, seed) -> Dataset:
     one stream each.
     """
     check_repetitions(m)
-    counts = draw_counts(law, m, [stream(seed)], np.empty((1, *law.shape), dtype=np.int64))
-    return Dataset(n=law.shape[-1].bit_length() - 1, m=m, counts=counts[0])
+    return Dataset(n=law.shape[-1].bit_length() - 1, m=m, counts=draw_counts(law, m, [stream(seed)])[0])
 
 
-def draw_counts(law: np.ndarray, m: int, streams: list, out: np.ndarray) -> np.ndarray:
-    """Fill ``out[i]`` with m outcomes per row of ``law`` drawn from ``streams[i]``; return ``out``.
+def draw_counts(law: np.ndarray, m: int, streams: list) -> np.ndarray:
+    """m outcomes per row of ``law`` from each stream: an int64 stack (len(streams), *law.shape).
 
-    ``out`` is an int64 array of shape (len(streams), *law.shape) that the
-    caller allocates. Each stream's rows are drawn in chunks of at most
-    ``DRAW_CHUNK_CELLS`` cells from one generator, in row order, which gives
-    the bits of one ``multinomial(m, law)`` call.
+    Each stream's rows are drawn in chunks of at most ``DRAW_CHUNK_CELLS``
+    cells from one generator, in row order, which gives the bits of one
+    ``multinomial(m, law)`` call.
     """
     rows = max(1, DRAW_CHUNK_CELLS // law.shape[-1])
-    for stream_seed, counts in zip(streams, out, strict=True):
+    out = np.empty((len(streams), *law.shape), dtype=np.int64)
+    for stream_seed, counts in zip(streams, out):
         rng = np.random.default_rng(stream_seed)
         for start in range(0, len(law), rows):
             counts[start:start + rows] = rng.multinomial(m, law[start:start + rows])

@@ -27,21 +27,20 @@ from .errors import ConfigError
 
 @dataclass
 class SpectralDecomposition:
-    """A Hermitian matrix with its eigensystem, ordered by decreasing absolute eigenvalue.
+    """The eigensystem of a Hermitian matrix, ordered by decreasing absolute eigenvalue.
 
     For a Hermitian matrix the singular values are the absolute eigenvalues,
     so one symmetric eigensolve provides both. The fit, the spectrum and
     every penalty read the linear estimate through its one decomposition.
     """
 
-    matrix: np.ndarray  # (2^n, 2^n) the decomposed matrix
     singular_values: np.ndarray  # (dim,) non-negative, decreasing
     eigenvalues: np.ndarray  # (dim,) signed, same order
     vectors: np.ndarray  # (dim, dim) orthonormal columns, same order
 
     @property
     def n(self) -> int:
-        return states.qubit_count(self.matrix)
+        return self.eigenvalues.size.bit_length() - 1
 
 
 @dataclass
@@ -55,7 +54,6 @@ class RankPenalizedFit:
     positive, that is also the projection of ``estimate`` onto states.
     """
 
-    nu: float
     k_hat: int
     estimate: np.ndarray
     physical_estimate: np.ndarray
@@ -80,7 +78,6 @@ def spectral(matrix: np.ndarray) -> SpectralDecomposition:
     w, v = np.linalg.eigh(matrix)
     order = np.argsort(-np.abs(w), kind="stable")
     return SpectralDecomposition(
-        matrix=matrix,
         singular_values=np.abs(w)[order],
         eigenvalues=w[order],
         vectors=v[:, order],
@@ -119,7 +116,6 @@ def penalized_fit(dec: SpectralDecomposition, nu: float) -> RankPenalizedFit:
     with np.errstate(over="ignore"):  # nu * k may overflow to inf
         objective = _tail_sums(dec.singular_values) + nu * np.arange(dec.singular_values.size + 1)
     return RankPenalizedFit(
-        nu=float(nu),
         k_hat=k_hat,
         estimate=truncate(dec, k_hat),
         physical_estimate=states.nearest_density(dec.eigenvalues, dec.vectors, max(k_hat, 1)),

@@ -44,7 +44,7 @@ def test_nu_oracle_reads_the_bare_matrix():
     assert nu == states.operator_norm(est - rho) ** 2
     assert op_error == states.operator_norm(est - rho)
     assert frob_error == states.frobenius_norm(est - rho)
-    assert np.array_equal(dec.matrix, est)
+    assert np.array_equal(dec.eigenvalues, rankpen.spectral(est).eigenvalues)
 
 
 def test_nu_oracle_dimension_mismatch():
@@ -292,10 +292,10 @@ def test_resolve_penalty_gives_the_same_bits_from_the_dataset(penalty):
     # decomposition of its inverse and the oracle's operator error
     rho = states.mixture(3, 2, 0.3)
     ds = measurement.simulate_dataset(rho, 40, 47)
-    dec = rankpen.spectral(inversion.linear_estimator(measurement.empirical_frequencies(ds)))
+    est = inversion.linear_estimator(measurement.empirical_frequencies(ds))
     choice = calibration.PenaltyChoice.parse(penalty, theta=0.5, eps=0.2, reps=4)
     assert calibration.calibrate(ds, [choice], 53, rho)[1] == [calibration.resolve_penalty(
-        choice, dec, 40, 53, states.operator_norm(dec.matrix - rho)
+        choice, rankpen.spectral(est), 40, 53, states.operator_norm(est - rho)
     )]
 
 
@@ -428,12 +428,12 @@ def test_a_failed_draw_reaches_the_caller_and_stops_later_draws(monkeypatch, wor
     started = []  # the batches this process drew
     draw = measurement.draw_counts
 
-    def failing(law, m, streams, out):
+    def failing(law, m, streams):
         batch = streams[0].spawn_key[-1] // 4
         started.append(batch)
         if batch == 1:
             raise RuntimeError("draw failed")
-        return draw(law, m, streams, out)
+        return draw(law, m, streams)
 
     monkeypatch.setattr(measurement, "draw_counts", failing)
     with pytest.raises(RuntimeError, match="draw failed"):
@@ -451,10 +451,10 @@ def test_a_failed_draw_in_a_child_reaches_the_caller_with_its_type(monkeypatch, 
     allow_processes(monkeypatch, 3)
     draw = measurement.draw_counts
 
-    def failing(law, m, streams, out):
+    def failing(law, m, streams):
         if streams[0].spawn_key[-1] // 4 == 2:
             raise error
-        return draw(law, m, streams, out)
+        return draw(law, m, streams)
 
     monkeypatch.setattr(measurement, "draw_counts", failing)
     with pytest.raises(type(error)) as raised:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,8 @@ from conftest import (
     reference_physical_estimate,
     state_to_dict,
 )
+from draws import count_draws
+import qtomo
 from qtomo import _shares, inversion, measurement, states
 from qtomo.cli import main
 
@@ -70,6 +76,23 @@ def test_a_dataset_file_with_m_beyond_a_64_bit_count_exit_4(tmp_path, monkeypatc
         assert code == 4
         assert capsys.readouterr().err == f"data error: m: repetition count m={m} must be <= 2^63 - 1\n"
     assert reads == [1, 1]
+
+
+def test_a_caller_that_ignores_sigchld_gets_the_outputs_of_the_default(tmp_path):
+    # an n = 6 bootstrap forks where there are two CPUs; an ignored SIGCHLD
+    # is inherited across exec, from a shell's trap '' CHLD for example
+    data = tmp_path / "data.json"
+    measurement.save_dataset(data, measurement.simulate_dataset(states.ghz(6), 100, 3))
+    args = ["estimate", str(data), "--penalty", "bootstrap", "--seed", "3", "--out"]
+    script = ("import signal, sys, qtomo.cli; signal.signal(signal.SIGCHLD, signal.SIG_IGN); "
+              "sys.exit(qtomo.cli.main(sys.argv[1:]))")
+    env = {**os.environ, "PYTHONPATH": str(Path(qtomo.__file__).parents[1])}
+    ignored = subprocess.run([sys.executable, "-c", script, *args, str(tmp_path / "ignored")],
+                             capture_output=True, text=True, env=env)
+    assert (ignored.returncode, ignored.stderr) == (0, "")
+    assert run(*args, tmp_path / "default") == 0
+    for f in ("fit.json", "estimate_state.json", "physical_state.json"):
+        assert (tmp_path / "ignored" / f).read_bytes() == (tmp_path / "default" / f).read_bytes()
 
 
 def test_simulate_mixture_needs_p(tmp_path):
@@ -418,17 +441,6 @@ def test_rank_study_bare_number_mode(tmp_path):
     assert [float(r[3]) for r in rows if r[1] == "0.5"] == [0.5, 0.5]
 
 
-def _count_draws(monkeypatch) -> list:
-    """Record every outcome law built and every dataset drawn from now on."""
-    calls = []
-    for name in ("outcome_law", "draw_dataset"):
-        monkeypatch.setattr(
-            measurement, name,
-            lambda *a, f=getattr(measurement, name): calls.append(1) or f(*a),
-        )
-    return calls
-
-
 @pytest.mark.parametrize("bad", [
     "fixed:-1", "fixed:x", "magic", "fixed:nan",
     # a rank or a sample size that the sweep reaches only after some draws;
@@ -437,7 +449,7 @@ def _count_draws(monkeypatch) -> list:
     pytest.param(("--m", "0"), id="m=0"),
 ])
 def test_rank_study_bad_mode_exit_2_before_simulating(tmp_path, monkeypatch, bad):
-    calls = _count_draws(monkeypatch)
+    calls = count_draws(monkeypatch)
     flags = bad if isinstance(bad, tuple) else ("--penalty", f"theory,{bad}")
     out = tmp_path / "study.csv"
     code = run("rank-study", "--n", 2, "--m", 60, "--d", "1,2", *flags, "--reps", 2,
@@ -455,7 +467,7 @@ def test_rank_study_bad_mode_exit_2_before_simulating(tmp_path, monkeypatch, bad
 ])
 def test_error_study_bad_sweep_exit_2_before_simulating(tmp_path, monkeypatch, capsys,
                                                         d, m, message):
-    calls = _count_draws(monkeypatch)
+    calls = count_draws(monkeypatch)
     out = tmp_path / "err.csv"
     code = run("error-study", "--n", 2, "--d", d, "--m", m, "--reps", 5, "--out", out)
     assert code == 2

@@ -68,7 +68,7 @@ def test_linear_estimator_returns_the_complex_matrix(n):
     )
     assert type(one) is np.ndarray and one.dtype == complex
     assert one.shape == (2**n, 2**n)
-    counts = measurement.draw_counts(law, 20, [51, 52, 53], np.empty((3, *law.shape), dtype=np.int64))
+    counts = measurement.draw_counts(law, 20, [51, 52, 53])
     stack = inversion.linear_estimator(
         measurement.empirical_frequencies(measurement.Dataset(n=n, m=20, counts=counts))
     )

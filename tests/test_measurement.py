@@ -133,7 +133,7 @@ def test_a_chunked_draw_gives_the_bits_of_one_multinomial_call(monkeypatch, chun
     assert law.size > chunk_cells
     monkeypatch.setattr(measurement, "DRAW_CHUNK_CELLS", chunk_cells)
     streams = [measurement.stream(5, j) for j in range(3)]
-    stack = measurement.draw_counts(law, 40, streams, np.empty((3, *law.shape), dtype=np.int64))
+    stack = measurement.draw_counts(law, 40, streams)
     one = measurement.draw_dataset(law, 40, measurement.stream(5, 1))
     expected = [np.random.default_rng(s).multinomial(40, law) for s in streams]
     assert stack.shape == (3, 27, 8)

@@ -1,5 +1,6 @@
 import os
 import pickle
+import signal
 import sys
 import threading
 import time
@@ -91,7 +92,8 @@ def _in_a_share(work):
 
 
 @pytest.mark.parametrize("case", [
-    "one share", "one CPU", "little work", "nested", "second thread", "not Linux"])
+    "one share", "one CPU", "little work", "nested", "second thread", "not the main thread",
+    "not Linux"])
 def test_one_process_runs_the_loop_without_forking(monkeypatch, case):
     monkeypatch.setattr(_shares, "_worker_count", lambda: 1 if case == "one CPU" else 4)
     count = 1 if case == "one share" else 5
@@ -99,6 +101,8 @@ def test_one_process_runs_the_loop_without_forking(monkeypatch, case):
     cells = (2 * UNIT - 1) // 5 if case == "little work" else UNIT
     if case == "not Linux":
         monkeypatch.setattr(sys, "platform", "darwin")
+    if case == "not the main thread":  # the only one that may set SIGCHLD's disposition
+        monkeypatch.setattr(threading, "main_thread", lambda: None)
 
     def call():
         _refuse_fork(monkeypatch)
@@ -134,6 +138,73 @@ def test_a_failed_share_stops_the_other_children(monkeypatch):
     assert time.monotonic() - start < 30
     assert os.sched_getaffinity(0) == mask
     no_child_left()
+
+
+@pytest.mark.parametrize("failed", [1, 2])
+def test_a_failed_fork_reaches_the_caller_and_leaves_no_descriptor_or_child(monkeypatch, failed):
+    monkeypatch.setattr(_shares, "_worker_count", lambda: 3)
+    fork, forks = os.fork, []
+
+    def fork_until_it_fails():
+        forks.append(1)
+        if len(forks) == failed:
+            raise BlockingIOError("fork failed")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fork_until_it_fails)
+    before = sorted(os.listdir("/proc/self/fd"))
+    with pytest.raises(BlockingIOError, match="fork failed"):
+        _shares.run_shares(_where, 3, UNIT)
+    assert sorted(os.listdir("/proc/self/fd")) == before
+    assert len(forks) == failed and not _shares._in_share
+    no_child_left()
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["results", "error"])
+def test_a_caller_that_ignores_sigchld_gets_every_share_and_keeps_its_disposition(monkeypatch,
+                                                                                  fails):
+    # the kernel would reap each child as it ends, and stopping and reaping
+    # it would fail with ESRCH or ECHILD; every share sees the default
+    monkeypatch.setattr(_shares, "_worker_count", lambda: 3)
+
+    def work(a, b):
+        if fails and a == 0:
+            raise RuntimeError("first share failed")
+        return a, signal.getsignal(signal.SIGCHLD)
+
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        if fails:
+            with pytest.raises(RuntimeError, match="first share failed"):
+                _shares.run_shares(work, 3, UNIT)
+        else:
+            assert _shares.run_shares(work, 3, UNIT) == [(k, signal.SIG_DFL) for k in range(3)]
+        assert signal.getsignal(signal.SIGCHLD) == signal.SIG_IGN
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    no_child_left()
+
+
+def test_a_child_of_the_caller_that_ends_during_the_call_is_reaped_when_sigchld_is_ignored(
+        monkeypatch):
+    # the kernel reaps it when it ends before or after the call, not during it
+    monkeypatch.setattr(_shares, "_worker_count", lambda: 2)
+
+    def work(a, b):
+        if a == 0:
+            pid = os.fork()
+            if pid == 0:
+                os._exit(0)
+            while os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None:
+                time.sleep(0.01)  # until it has ended, unreaped
+        return a
+
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        assert _shares.run_shares(work, 2, UNIT) == [0, 1]
+        no_child_left()
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
 
 
 def test_a_child_that_ends_without_a_result_is_an_error(monkeypatch):
